@@ -9,6 +9,7 @@ package fpcache
 import (
 	"math/rand"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -75,6 +76,42 @@ func TestAccessZeroAllocs(t *testing.T) {
 		})
 		if avg != 0 {
 			t.Errorf("%s: Access allocates %.2f allocs/op in steady state, want 0", name, avg)
+		}
+	}
+}
+
+// TestTimingZeroAllocs pins the timing runner's budget: once its
+// in-flight pool, per-core op arenas, controller queues and event heap
+// have grown to a run's needs, RunTiming allocates nothing per
+// reference. Construction and pool growth are a per-run constant, so
+// two identically warmed runs of different lengths differ only by the
+// per-reference cost. The partitioned design's resize plan exercises
+// the transition path.
+func TestTimingZeroAllocs(t *testing.T) {
+	const short, long = 50_000, 250_000
+	cases := []Config{
+		{Design: Footprint},
+		{Design: Block},
+		{Design: "footprint+memcache:50", ResizePeriodRefs: 20_000, ResizeFractions: []float64{0.25, 0.75}},
+	}
+	for _, cfg := range cases {
+		cfg.Workload, cfg.PaperCapacityMB, cfg.WarmupRefs = WebSearch, 64, 100_000
+		mallocs := func(refs int) uint64 {
+			c := cfg
+			c.Refs = refs
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := RunTiming(c); err != nil {
+				t.Fatalf("%s: %v", cfg.Design, err)
+			}
+			runtime.ReadMemStats(&after)
+			return after.Mallocs - before.Mallocs
+		}
+		s, l := mallocs(short), mallocs(long)
+		perRef := (float64(l) - float64(s)) / (long - short)
+		t.Logf("%s: %d allocs at %d refs, %d at %d refs: %.4f marginal allocs/ref", cfg.Design, s, short, l, long, perRef)
+		if perRef > 0.01 {
+			t.Errorf("%s: RunTiming allocates %.4f per reference in steady state, want <= 0.01", cfg.Design, perRef)
 		}
 	}
 }

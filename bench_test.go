@@ -14,7 +14,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"fpcache/internal/core"
 	"fpcache/internal/dcache"
 	"fpcache/internal/dram"
 	"fpcache/internal/experiments"
@@ -116,9 +115,18 @@ func BenchmarkGeneratorThroughput(b *testing.B) {
 }
 
 // BenchmarkFootprintAccess measures the Footprint Cache's per-access
-// cost in functional mode.
-func BenchmarkFootprintAccess(b *testing.B) {
-	c, err := core.New(core.Default(16 << 20))
+// cost in functional mode, as BuildDesign composes it for every
+// production path.
+func BenchmarkFootprintAccess(b *testing.B) { benchBuiltAccess(b, system.KindFootprint) }
+
+// BenchmarkBlockCacheAccess measures the block-based comparator's
+// per-access cost (MissMap + in-DRAM tag model).
+func BenchmarkBlockCacheAccess(b *testing.B) { benchBuiltAccess(b, system.KindBlock) }
+
+// benchBuiltAccess times Design.Access of a BuildDesign-built kind at
+// 256MB (1/16 scale) over a random mixed read/write stream.
+func benchBuiltAccess(b *testing.B, kind string) {
+	d, err := system.BuildDesign(system.DesignSpec{Kind: kind, PaperCapacityMB: 256, Scale: 1.0 / 16})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -127,29 +135,6 @@ func BenchmarkFootprintAccess(b *testing.B) {
 	for i := range recs {
 		recs[i] = memtrace.Record{
 			PC:    memtrace.PC(0x400000 + rng.Intn(256)*4),
-			Addr:  memtrace.Addr(rng.Intn(1<<22) * 64),
-			Write: rng.Intn(3) == 0,
-		}
-	}
-	var ops []dcache.Op
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ops = c.Access(recs[i&(1<<16-1)], ops).Ops
-	}
-}
-
-// BenchmarkBlockCacheAccess measures the block-based comparator's
-// per-access cost (MissMap + in-DRAM tag model).
-func BenchmarkBlockCacheAccess(b *testing.B) {
-	d, err := system.BuildDesign(system.DesignSpec{Kind: system.KindBlock, PaperCapacityMB: 256, Scale: 1.0 / 16})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	recs := make([]memtrace.Record, 1<<16)
-	for i := range recs {
-		recs[i] = memtrace.Record{
 			Addr:  memtrace.Addr(rng.Intn(1<<22) * 64),
 			Write: rng.Intn(3) == 0,
 		}
@@ -210,4 +195,33 @@ func BenchmarkFunctionalPipeline(b *testing.B) {
 	}
 	b.ResetTimer()
 	system.RunFunctional(d, src, 0, b.N)
+}
+
+// BenchmarkTimingPipeline measures the end-to-end timing simulation
+// rate (generator -> footprint cache -> demux -> cores -> DRAM
+// controllers -> event engine), one reference per iteration, after a
+// functional warmup outside the timer. allocs/op amortizes the run's
+// fixed set-up over b.N; the steady-state cost per reference is zero
+// (TestTimingZeroAllocs).
+func BenchmarkTimingPipeline(b *testing.B) {
+	cfg := Config{Workload: WebSearch, Design: Footprint, PaperCapacityMB: 64, Scale: 1.0 / 64}
+	d, err := NewDesign(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src, prof, err := NewTrace(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var ops []dcache.Op
+	for i := 0; i < 100_000; i++ {
+		rec, _ := src.Next()
+		ops = d.Access(rec, ops).Ops
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if _, err := system.RunTiming(d, src, system.TimingConfig{Cores: prof.Cores, MLP: prof.MLP, MaxRefs: b.N}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "refs/s")
 }

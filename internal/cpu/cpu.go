@@ -38,6 +38,9 @@ type Core[P any] struct {
 
 	pull  PullFn[P]
 	issue IssueFn[P]
+	// stepFn and completeFn are step and onComplete bound once at
+	// construction, so rescheduling and issuing build no method values.
+	stepFn, completeFn func()
 
 	hasPending  bool
 	pendRec     memtrace.Record
@@ -65,12 +68,17 @@ func New[P any](id, mlp int, eng *sim.Engine, pull PullFn[P], issue IssueFn[P]) 
 	if mlp < 1 {
 		mlp = 1
 	}
-	return &Core[P]{id: id, mlp: mlp, eng: eng, pull: pull, issue: issue}
+	c := &Core[P]{id: id, mlp: mlp, eng: eng, pull: pull, issue: issue}
+	c.stepFn, c.completeFn = c.step, c.onComplete
+	return c
 }
+
+// postedDone is the completion callback every posted write shares.
+func postedDone() {}
 
 // Start schedules the core's first issue. Call once.
 func (c *Core[P]) Start() {
-	c.eng.Schedule(c.eng.Now(), c.step)
+	c.eng.Schedule(c.eng.Now(), c.stepFn)
 }
 
 // Finished reports whether the core exhausted its trace.
@@ -90,7 +98,7 @@ func (c *Core[P]) step() {
 	}
 	now := c.eng.Now()
 	if now < c.readyAt {
-		c.eng.Schedule(c.readyAt, c.step)
+		c.eng.Schedule(c.readyAt, c.stepFn)
 		return
 	}
 	if !c.pendRec.Write && c.outstanding >= c.mlp {
@@ -109,13 +117,13 @@ func (c *Core[P]) step() {
 	c.LastIssue = now
 	if rec.Write {
 		// Posted writeback: consumes bandwidth, not an MLP slot.
-		c.issue(rec, payload, func() {})
+		c.issue(rec, payload, postedDone)
 	} else {
 		c.outstanding++
-		c.issue(rec, payload, c.onComplete)
+		c.issue(rec, payload, c.completeFn)
 	}
 	// Pipeline: move straight to the next record's gap.
-	c.eng.Schedule(now, c.step)
+	c.eng.Schedule(now, c.stepFn)
 }
 
 // onComplete returns an MLP slot and unblocks a stalled core.
@@ -127,6 +135,6 @@ func (c *Core[P]) onComplete() {
 	if c.stalled {
 		c.stalled = false
 		c.StallCycles += uint64(c.eng.Now() - c.stalledSince)
-		c.eng.Schedule(c.eng.Now(), c.step)
+		c.eng.Schedule(c.eng.Now(), c.stepFn)
 	}
 }

@@ -10,6 +10,12 @@ import (
 // the payload size (multiple of 64); transfers larger than 64B are
 // streamed from consecutive addresses on (usually) one row. Done is
 // called when the last data beat completes.
+//
+// The controller queues the submitted pointer and fires completion
+// through a callback bound to it, so a submitted request must not be
+// copied, modified or resubmitted before its Done fires. Afterwards it
+// may be reused: a long-lived request (a pooled one, say) resubmitted
+// many times costs no allocation after its first completion.
 type Request struct {
 	Addr  memtrace.Addr
 	Bytes int
@@ -19,7 +25,17 @@ type Request struct {
 	arrived sim.Cycle
 	seq     uint64
 	loc     Location
+
+	// fire is complete bound to self, built on the first completion of
+	// this Request object (self detects a copy, which must rebind), and
+	// doneAt the cycle it reports.
+	self   *Request
+	fire   func()
+	doneAt sim.Cycle
 }
+
+// complete delivers the request's completion to Done.
+func (r *Request) complete() { r.Done(r.doneAt) }
 
 // CmdKind identifies a DRAM command reported through the Trace hook.
 type CmdKind uint8
@@ -125,6 +141,8 @@ type channelState struct {
 
 	wakeArmed bool
 	wake      sim.Ticket
+	// wakeFn is the channel's wakeup callback, built once.
+	wakeFn func()
 }
 
 type bankState struct {
@@ -186,6 +204,11 @@ func NewController(eng *sim.Engine, cfg Config) *Controller {
 			ch.banks[b].openRow = -1
 		}
 		ch.refDueAt = c.t.refi
+		chIdx := i
+		ch.wakeFn = func() {
+			ch.wakeArmed = false
+			c.schedule(chIdx)
+		}
 		c.chns = append(c.chns, ch)
 	}
 	return c
@@ -282,10 +305,7 @@ func (c *Controller) schedule(chIdx int) {
 				continue
 			}
 			ch.wakeArmed = true
-			ch.wake = c.eng.Schedule(best.start, func() {
-				ch.wakeArmed = false
-				c.schedule(chIdx)
-			})
+			ch.wake = c.eng.Schedule(best.start, ch.wakeFn)
 			return
 		}
 		c.commit(chIdx, ch, best)
@@ -544,8 +564,12 @@ func (c *Controller) commit(chIdx int, ch *channelState, s sched) {
 
 	c.LatencySum += uint64(dataEnd - req.arrived)
 	c.LatencyCount++
-	if done := req.Done; done != nil {
-		c.eng.Schedule(dataEnd, func() { done(dataEnd) })
+	if req.Done != nil {
+		if req.self != req {
+			req.self, req.fire = req, req.complete
+		}
+		req.doneAt = dataEnd
+		c.eng.Schedule(dataEnd, req.fire)
 	}
 }
 

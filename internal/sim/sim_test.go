@@ -233,25 +233,95 @@ func TestSteadyStateSchedulingDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// Property: for any schedule of random events, execution times are
-// non-decreasing and every non-cancelled event runs exactly once.
+// Property: under random Schedule/After/Cancel traffic — including
+// calls made from inside firing events, schedules into the past, dense
+// same-cycle ties, and cancellations through stale tickets whose event
+// objects have since been recycled — events fire in exactly (cycle,
+// schedule order), each at its cycle, every uncancelled event fires
+// once, and Cancel reports liveness exactly.
 func TestPropertyEventOrdering(t *testing.T) {
+	type sched struct {
+		at               Cycle // effective firing cycle (past schedules clamp to Now)
+		tk               Ticket
+		fired, cancelled bool
+	}
 	f := func(seed int64, nRaw uint8) bool {
 		n := int(nRaw%100) + 1
 		rng := rand.New(rand.NewSource(seed))
 		var e Engine
-		var times []Cycle
+		var all []*sched
+		var order []int
+		ok := true
+		var schedule func()
+		cancel := func() {
+			if len(all) == 0 {
+				return
+			}
+			s := all[rng.Intn(len(all))]
+			live := !s.fired && !s.cancelled
+			if e.Cancel(s.tk) != live {
+				ok = false
+			}
+			s.cancelled = s.cancelled || live
+		}
+		schedule = func() {
+			if len(all) >= 4*n {
+				return
+			}
+			id, s := len(all), &sched{}
+			fn := func() {
+				if s.fired || s.cancelled || e.Now() != s.at {
+					ok = false
+				}
+				s.fired = true
+				order = append(order, id)
+				for k := rng.Intn(4); k > 0; k-- {
+					if rng.Intn(3) == 0 {
+						cancel()
+					} else {
+						schedule()
+					}
+				}
+			}
+			now := e.Now()
+			switch rng.Intn(3) {
+			case 0:
+				d := Cycle(rng.Intn(4))
+				s.at, s.tk = now+d, e.After(d, fn)
+			case 1:
+				at := Cycle(rng.Intn(int(now) + 4))
+				s.at, s.tk = max(at, now), e.Schedule(at, fn)
+			default:
+				s.at = now + Cycle(rng.Intn(500))
+				s.tk = e.Schedule(s.at, fn)
+			}
+			all = append(all, s)
+		}
 		for i := 0; i < n; i++ {
-			at := Cycle(rng.Intn(1000))
-			e.Schedule(at, func() { times = append(times, e.Now()) })
+			schedule()
+			if rng.Intn(4) == 0 {
+				cancel()
+			}
 		}
 		e.Run(nil)
-		if len(times) != n {
+		var want []int
+		for id, s := range all {
+			if !s.cancelled {
+				want = append(want, id)
+			}
+		}
+		sort.SliceStable(want, func(i, j int) bool { return all[want[i]].at < all[want[j]].at })
+		if !ok || len(order) != len(want) || e.Pending() != 0 {
 			return false
 		}
-		return sort.SliceIsSorted(times, func(i, j int) bool { return times[i] < times[j] })
+		for i := range want {
+			if order[i] != want[i] {
+				return false
+			}
+		}
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

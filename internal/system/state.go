@@ -299,12 +299,12 @@ func (s *SimState) Restore(r io.Reader, want SnapshotMeta) error {
 
 // validateOps rejects a structurally invalid operation list — a
 // malformed outcome DAG would otherwise deadlock the timing
-// simulator's dispatch (see dispatchOps) and silently strand pooled
-// buffers. A design emitting one is a programming error, but on a
-// server-scale sweep it must fail its one point, not the process: the
-// error wraps fault.ErrInvalidOps so the sweep layer classifies and
-// reports it. (Tests that want the old fail-loudly behavior panic in
-// their own helpers.)
+// simulator's dispatch (see inflight.dispatch) and silently strand
+// pooled in-flight records. A design emitting one is a programming
+// error, but on a server-scale sweep it must fail its one point, not
+// the process: the error wraps fault.ErrInvalidOps so the sweep layer
+// classifies and reports it. (Tests that want the old fail-loudly
+// behavior panic in their own helpers.)
 func validateOps(design dcache.Design, ops []dcache.Op, what string) error {
 	if err := dcache.ValidateOps(ops); err != nil {
 		return fmt.Errorf("system: design %q emitted an invalid %s op list (%v): %w",

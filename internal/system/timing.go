@@ -70,7 +70,7 @@ type TimingResult struct {
 	// QueueHighWater is the run's high-water mark of records buffered
 	// across the demux's per-core queues. Pinning functional state
 	// transitions to trace order means a core-skewed trace buffers the
-	// skew (each queued record holding a pooled ops buffer); this
+	// skew (each queued record's ops held in its core's arena); this
 	// reports that memory cost instead of leaving it unmeasured.
 	QueueHighWater uint64
 	// Partition carries partition statistics when the design
@@ -99,19 +99,48 @@ func (r TimingResult) StackedEnergyPerInstr() energy.Breakdown {
 	return energy.Stacked().Of(r.Stacked).PerInstruction(r.Instructions)
 }
 
-// outcome is the payload attached to each timed record: its
-// functionally precomputed operation list (held in a pooled buffer)
-// and the SRAM tag lead time. It crosses the cpu.Core boundary
-// alongside the record, which the core already carries.
-type outcome struct {
-	ops       []dcache.Op
+// queuedRec is one record waiting in a core's queue: the record, its
+// SRAM tag lead time, and how many ops it holds in the queue's arena.
+type queuedRec struct {
+	rec       memtrace.Record
 	tagCycles int
+	nops      int
 }
 
-// timedRec is one queued record with its outcome.
-type timedRec struct {
-	rec memtrace.Record
-	out outcome
+// coreQueue is one core's FIFO of drained but not yet pulled records.
+// Their ops sit back to back, in queue order, in one arena, so a
+// queued record pins no buffer of its own. Both slices compact once
+// the head passes half their length, so their capacity follows the
+// queue's high-water mark rather than the run length.
+type coreQueue struct {
+	recs  []queuedRec
+	rhead int
+	ops   []dcache.Op
+	ohead int
+}
+
+// push appends a record and a copy of its ops.
+func (q *coreQueue) push(rec memtrace.Record, tagCycles int, ops []dcache.Op) {
+	if 2*q.rhead >= len(q.recs) {
+		q.recs = q.recs[:copy(q.recs, q.recs[q.rhead:])]
+		q.ops = q.ops[:copy(q.ops, q.ops[q.ohead:])]
+		q.rhead, q.ohead = 0, 0
+	}
+	q.recs = append(q.recs, queuedRec{rec: rec, tagCycles: tagCycles, nops: len(ops)})
+	q.ops = append(q.ops, ops...)
+}
+
+// pop removes the head record. Its ops alias the arena and stay valid
+// until the next push.
+func (q *coreQueue) pop() (queuedRec, []dcache.Op, bool) {
+	if q.rhead == len(q.recs) {
+		return queuedRec{}, nil, false
+	}
+	r := q.recs[q.rhead]
+	q.rhead++
+	ops := q.ops[q.ohead : q.ohead+r.nops]
+	q.ohead += r.nops
+	return r, ops, true
 }
 
 // demux fans one interleaved trace out to per-core queues, performing
@@ -123,18 +152,18 @@ type timedRec struct {
 // functional results (the scheduling-parity regression test), and the
 // counters match RunFunctional byte for byte.
 //
-// The cost of the decoupling is that queued records pin their outcome
-// buffers: a trace whose records skew heavily toward one core makes
-// the other cores' pulls drain (and functionally evaluate) the
-// remainder of the trace up front, holding one ops buffer per queued
-// record. Synthetic workloads interleave cores evenly, so queues stay
+// The cost of the decoupling is that queued records hold their ops: a
+// trace whose records skew heavily toward one core makes the other
+// cores' pulls drain (and functionally evaluate) the remainder of the
+// trace up front, buffering every queued record's ops in its core's
+// arena. Synthetic workloads interleave cores evenly, so queues stay
 // shallow; a pathologically skewed replayed trace costs memory
 // proportional to the skew, never correctness. The queued/highWater
 // counters measure that cost per run (TimingResult.QueueHighWater).
 type demux struct {
 	src    memtrace.Source
 	design dcache.Design
-	queues [][]timedRec
+	queues []coreQueue
 	left   int
 	done   bool
 
@@ -164,40 +193,35 @@ type demux struct {
 	// startRefs offsets the resize schedule (TimingConfig.ResizeStartRefs).
 	startRefs uint64
 
-	// Timed outcomes outlive the next Access (their ops dispatch after
-	// the SRAM lead time and complete asynchronously), so each outcome
-	// is copied out of the scratch buffer into a pooled buffer,
-	// recycled when its last operation completes. The event loop is
-	// single-threaded, so the pool needs no locking.
+	// scratch is the Access buffer: every outcome is copied out of it
+	// into a core's arena before the next Access reuses it.
 	scratch []dcache.Op
-	pool    [][]dcache.Op
 }
 
 func newDemux(src memtrace.Source, design dcache.Design, cores, maxRefs int, scratch []dcache.Op) *demux {
 	return &demux{
 		src:     src,
 		design:  design,
-		queues:  make([][]timedRec, cores),
+		queues:  make([]coreQueue, cores),
 		left:    maxRefs,
 		scratch: scratch,
 	}
 }
 
-// pull returns the next record (with its precomputed outcome) for the
-// given core.
-func (d *demux) pull(core int) (timedRec, bool) {
+// pull returns the given core's next record with its precomputed
+// outcome; the ops alias the core's arena and stay valid until the
+// next pull.
+func (d *demux) pull(core int) (queuedRec, []dcache.Op, bool) {
 	for {
 		if d.err != nil {
-			return timedRec{}, false
+			return queuedRec{}, nil, false
 		}
-		if q := d.queues[core]; len(q) > 0 {
-			tr := q[0]
-			d.queues[core] = q[1:]
+		if r, ops, ok := d.queues[core].pop(); ok {
 			d.queued--
-			return tr, true
+			return r, ops, true
 		}
 		if d.done || d.left <= 0 {
-			return timedRec{}, false
+			return queuedRec{}, nil, false
 		}
 		rec, ok := d.src.Next()
 		if !ok {
@@ -211,14 +235,11 @@ func (d *demux) pull(core int) (timedRec, bool) {
 			if err := validateOps(d.design, res.Ops, "outcome"); err != nil {
 				d.err = err
 				d.done = true
-				return timedRec{}, false
+				return queuedRec{}, nil, false
 			}
 		}
 		d.scratch = res.Ops
-		ops := d.getOps(len(res.Ops))
-		copy(ops, res.Ops)
-		c := int(rec.Core) % len(d.queues)
-		d.queues[c] = append(d.queues[c], timedRec{rec: rec, out: outcome{ops: ops, tagCycles: res.TagCycles}})
+		d.queues[int(rec.Core)%len(d.queues)].push(rec, res.TagCycles, res.Ops)
 		if d.queued++; d.queued > d.highWater {
 			d.highWater = d.queued
 		}
@@ -226,17 +247,15 @@ func (d *demux) pull(core int) (timedRec, bool) {
 		if d.period > 0 && (d.startRefs+d.drained)%d.period == 0 {
 			epoch := int((d.startRefs+d.drained)/d.period - 1)
 			if frac, fire := d.pol.Decide(epoch, telemetryOf(d.design, d.part, d.startRefs+d.drained)); fire {
-				// The boundary reference's Access already copied its ops
-				// out of scratch, so the resize can reuse it.
+				// The boundary reference's ops are already in its core's
+				// arena, so the resize can reuse scratch.
 				d.scratch = d.rz.Resize(frac, d.scratch[:0])
 				if err := validateOps(d.design, d.scratch, "resize transition"); err != nil {
 					d.err = err
 					d.done = true
-					return timedRec{}, false
+					return queuedRec{}, nil, false
 				}
-				buf := d.getOps(len(d.scratch))
-				copy(buf, d.scratch)
-				d.onResize(buf)
+				d.onResize(d.scratch)
 			}
 		}
 	}
@@ -248,25 +267,6 @@ func (d *demux) pull(core int) (timedRec, bool) {
 // first few dozen references of every workload) without taxing the
 // steady-state hot path.
 const validateOutcomes = 64
-
-// getOps takes a buffer of length n from the pool, or allocates one.
-func (d *demux) getOps(n int) []dcache.Op {
-	if k := len(d.pool); k > 0 {
-		buf := d.pool[k-1]
-		d.pool[k-1] = nil
-		d.pool = d.pool[:k-1]
-		if cap(buf) < n {
-			buf = make([]dcache.Op, n)
-		}
-		return buf[:n]
-	}
-	return make([]dcache.Op, n)
-}
-
-// putOps returns a buffer to the pool.
-func (d *demux) putOps(buf []dcache.Op) {
-	d.pool = append(d.pool, buf)
-}
 
 // RunTiming executes an event-driven simulation of the pod: cores
 // with bounded MLP issue records through the design into the two DRAM
@@ -317,17 +317,27 @@ func RunTiming(design dcache.Design, src memtrace.Source, cfg TimingConfig) (Tim
 	ctr0 := design.Counters()
 
 	eng := &sim.Engine{}
-	offC := dram.NewController(eng, offCfg)
-	stkC := dram.NewController(eng, stkCfg)
+	r := &timingRun{
+		eng:      eng,
+		offC:     dram.NewController(eng, offCfg),
+		stkC:     dram.NewController(eng, stkCfg),
+		l2Cycles: cfg.L2Cycles,
+		res: TimingResult{
+			Design:      design.Name(),
+			ReadLatency: stats.NewHistogram(stats.LatencyBounds()...),
+		},
+	}
 	dm := newDemux(src, design, cfg.Cores, cfg.MaxRefs, scratch)
 	if rz, ok := design.(Resizable); ok && policyPeriod(cfg.Resize) > 0 {
 		dm.pol, dm.period, dm.rz = cfg.Resize, uint64(cfg.Resize.Period()), rz
 		dm.part = partitionExtra(design)
 		dm.startRefs = cfg.ResizeStartRefs
+		// Resize traffic is pure background: nothing gates on it, and
+		// its record returns to the pool when the last op lands.
 		dm.onResize = func(ops []dcache.Op) {
-			// Resize traffic is pure background: nothing gates on it,
-			// and the pooled buffer recycles when the last op lands.
-			dispatchOps(eng, ops, offC, stkC, func() {}, dm.putOps)
+			fl := r.take(&r.freeResize, ops, 0)
+			fl.read, fl.done = false, noop
+			fl.dispatch()
 		}
 	}
 	part := partitionExtra(design)
@@ -336,48 +346,26 @@ func RunTiming(design dcache.Design, src memtrace.Source, cfg TimingConfig) (Tim
 		pt0 = part()
 	}
 
-	res := TimingResult{
-		Design:      design.Name(),
-		ReadLatency: stats.NewHistogram(stats.LatencyBounds()...),
-	}
-	var readLatSum, readLatN uint64
-
-	// The precomputed outcome travels from pull to issue as the core's
-	// record payload, so the record/ops association is structural.
-	issue := func(rec memtrace.Record, out outcome, done func()) {
-		res.Refs++
-		issuedAt := eng.Now()
-		notify := done
-		if !rec.Write {
-			notify = func() {
-				lat := uint64(eng.Now() - issuedAt)
-				readLatSum += lat
-				readLatN++
-				res.ReadLatency.Add(int64(lat))
-				done()
-			}
-		}
-		// SRAM latencies (L2 probe + cache metadata) precede DRAM
-		// operations.
-		lead := sim.Cycle(cfg.L2Cycles + out.tagCycles)
-		eng.After(lead, func() {
-			dispatchOps(eng, out.ops, offC, stkC, notify, dm.putOps)
-		})
-	}
-
-	cores := make([]*cpu.Core[outcome], cfg.Cores)
+	// A core's pull takes a pooled in-flight record owning a copy of
+	// the outcome, which travels to issue as the core's record payload,
+	// so the record/ops association is structural.
+	cores := make([]*cpu.Core[*inflight], cfg.Cores)
 	for i := range cores {
 		id := i
-		pull := func() (memtrace.Record, outcome, bool) {
-			tr, ok := dm.pull(id)
-			return tr.rec, tr.out, ok
+		pull := func() (memtrace.Record, *inflight, bool) {
+			qr, ops, ok := dm.pull(id)
+			if !ok {
+				return memtrace.Record{}, nil, false
+			}
+			return qr.rec, r.take(&r.free, ops, qr.tagCycles), true
 		}
-		cores[i] = cpu.New(id, cfg.MLP, eng, pull, issue)
+		cores[i] = cpu.New(id, cfg.MLP, eng, pull, r.issue)
 		cores[i].Start()
 	}
 
 	eng.Run(nil)
 
+	res := r.res
 	for _, c := range cores {
 		res.Instructions += c.Instructions
 		res.StallCycles += c.StallCycles
@@ -385,14 +373,14 @@ func RunTiming(design dcache.Design, src memtrace.Source, cfg TimingConfig) (Tim
 	res.Cycles = uint64(eng.Now())
 	res.QueueHighWater = uint64(dm.highWater)
 	res.Counters = design.Counters().Sub(ctr0)
-	res.OffChip = offC.Stats
-	res.Stacked = stkC.Stats
+	res.OffChip = r.offC.Stats
+	res.Stacked = r.stkC.Stats
 	if part != nil {
 		s := part().Sub(pt0)
 		res.Partition = &s
 	}
-	if readLatN > 0 {
-		res.AvgReadLatency = float64(readLatSum) / float64(readLatN)
+	if r.readLatN > 0 {
+		res.AvgReadLatency = float64(r.readLatSum) / float64(r.readLatN)
 		res.ReadLatencyP50 = res.ReadLatency.Percentile(0.50)
 		res.ReadLatencyP90 = res.ReadLatency.Percentile(0.90)
 		res.ReadLatencyP99 = res.ReadLatency.Percentile(0.99)
@@ -400,68 +388,168 @@ func RunTiming(design dcache.Design, src memtrace.Source, cfg TimingConfig) (Tim
 	return res, dm.err
 }
 
-// dispatchOps turns an outcome's operation DAG into DRAM
-// transactions: ops with no dependency issue immediately, dependents
-// issue on their parent's completion, and done fires when every
-// critical op has completed (immediately if there are none). When
-// every op (critical or not) has completed, ops is handed to release
-// so pooled buffers can be recycled; dependents are found by scanning
-// ops, which keeps the dispatch free of per-reference bookkeeping
-// allocations (outcome DAGs are at most a few dozen ops deep).
-func dispatchOps(eng *sim.Engine, ops []dcache.Op, offC, stkC *dram.Controller, done func(), release func([]dcache.Op)) {
-	if len(ops) == 0 {
-		done()
-		if release != nil {
-			release(ops)
-		}
+// timingRun is the memory-system side of one RunTiming: the engine,
+// both controllers, the in-flight record pools, and the read-latency
+// accumulators.
+type timingRun struct {
+	eng        *sim.Engine
+	offC, stkC *dram.Controller
+	l2Cycles   int
+	// free pools the records of references; freeResize those of resize
+	// transitions, whose op lists run to thousands of ops and would
+	// otherwise grow a fresh set of slots in whichever reference record
+	// each transition happened to take.
+	free, freeResize []*inflight
+
+	res                  TimingResult
+	readLatSum, readLatN uint64
+}
+
+// noop is the completion of references nothing waits on (resize
+// transitions).
+func noop() {}
+
+// inflight is one pulled reference, or one resize transition, on its
+// way through the memory system. It owns a copy of the outcome's ops,
+// one DRAM request per op slot, and the completion counts, and returns
+// to its run's pool when its last op completes, so dispatch allocates
+// nothing once the pool and its slots have grown to the run's needs.
+type inflight struct {
+	run       *timingRun
+	home      *[]*inflight // the pool release returns to
+	ops       []dcache.Op
+	slots     []*opSlot
+	tagCycles int
+
+	read     bool
+	issuedAt sim.Cycle
+	done     func()
+
+	critLeft, allLeft int
+	// dispatchFn is dispatch bound once, for the SRAM lead-time event.
+	dispatchFn func()
+}
+
+// opSlot carries the DRAM request of one op slot; the request's Done
+// is complete bound once. Slots are allocated one by one and never
+// copied, because the controller fires completion through a callback
+// bound to the request's address.
+type opSlot struct {
+	fl  *inflight
+	i   int
+	req dram.Request
+}
+
+func (s *opSlot) complete(sim.Cycle) { s.fl.complete(s.i) }
+
+// take returns an in-flight record from the given pool holding a copy
+// of ops.
+func (r *timingRun) take(pool *[]*inflight, ops []dcache.Op, tagCycles int) *inflight {
+	var fl *inflight
+	if n := len(*pool); n > 0 {
+		fl = (*pool)[n-1]
+		*pool = (*pool)[:n-1]
+	} else {
+		fl = &inflight{run: r, home: pool}
+		fl.dispatchFn = fl.dispatch
+	}
+	fl.ops = append(fl.ops[:0], ops...)
+	for len(fl.slots) < len(fl.ops) {
+		s := &opSlot{fl: fl, i: len(fl.slots)}
+		s.req.Done = s.complete
+		fl.slots = append(fl.slots, s)
+	}
+	fl.tagCycles = tagCycles
+	return fl
+}
+
+// issue starts a core's reference: the SRAM latencies (L2 probe plus
+// cache metadata) elapse, then its ops dispatch.
+func (r *timingRun) issue(rec memtrace.Record, fl *inflight, done func()) {
+	r.res.Refs++
+	fl.read, fl.issuedAt, fl.done = !rec.Write, r.eng.Now(), done
+	r.eng.After(sim.Cycle(r.l2Cycles+fl.tagCycles), fl.dispatchFn)
+}
+
+// dispatch turns the outcome's operation DAG into DRAM transactions:
+// ops with no dependency issue immediately, in index order, dependents
+// issue on their parent's completion, and the reference finishes when
+// every critical op has completed (right after the roots are submitted
+// if there are none). Dependents are found by scanning ops, which keeps
+// dispatch free of per-reference bookkeeping (outcome DAGs are at most
+// a few dozen ops deep).
+func (fl *inflight) dispatch() {
+	if len(fl.ops) == 0 {
+		fl.finish()
+		fl.release()
 		return
 	}
-	critLeft := 0
-	for i := range ops {
-		if ops[i].Critical {
-			critLeft++
+	fl.critLeft, fl.allLeft = 0, len(fl.ops)
+	for i := range fl.ops {
+		if fl.ops[i].Critical {
+			fl.critLeft++
 		}
 	}
-	if critLeft == 0 {
+	for i := range fl.ops {
+		if fl.ops[i].DependsOn == dcache.NoDep {
+			fl.submit(i)
+		}
+	}
+	if fl.critLeft == 0 {
 		// Nothing gates completion (posted writes): finish now, let
 		// the ops drain in the background.
-		defer done()
+		fl.finish()
 	}
-	allLeft := len(ops)
+}
 
-	var submit func(i int)
-	submit = func(i int) {
-		op := ops[i]
-		ctrl := stkC
-		if op.Level == dcache.OffChip {
-			ctrl = offC
-		}
-		ctrl.Submit(&dram.Request{
-			Addr:  op.Addr,
-			Bytes: op.Bytes,
-			Write: op.Write,
-			Done: func(sim.Cycle) {
-				if op.Critical {
-					critLeft--
-					if critLeft == 0 {
-						done()
-					}
-				}
-				for j := range ops {
-					if ops[j].DependsOn == i {
-						submit(j)
-					}
-				}
-				allLeft--
-				if allLeft == 0 && release != nil {
-					release(ops)
-				}
-			},
-		})
+// submit hands op i's request to its level's controller.
+func (fl *inflight) submit(i int) {
+	op := &fl.ops[i]
+	req := &fl.slots[i].req
+	req.Addr, req.Bytes, req.Write = op.Addr, op.Bytes, op.Write
+	ctrl := fl.run.stkC
+	if op.Level == dcache.OffChip {
+		ctrl = fl.run.offC
 	}
-	for i := range ops {
-		if ops[i].DependsOn == dcache.NoDep {
-			submit(i)
+	ctrl.Submit(req)
+}
+
+// complete retires op i: the last critical op finishes the reference,
+// then op i's dependents issue in index order, and the last op returns
+// the record to the pool.
+func (fl *inflight) complete(i int) {
+	if fl.ops[i].Critical {
+		fl.critLeft--
+		if fl.critLeft == 0 {
+			fl.finish()
 		}
 	}
+	for j := range fl.ops {
+		if fl.ops[j].DependsOn == i {
+			fl.submit(j)
+		}
+	}
+	fl.allLeft--
+	if fl.allLeft == 0 {
+		fl.release()
+	}
+}
+
+// finish signals the reference's completion, recording a read's
+// issue-to-completion latency first.
+func (fl *inflight) finish() {
+	if fl.read {
+		r := fl.run
+		lat := uint64(r.eng.Now() - fl.issuedAt)
+		r.readLatSum += lat
+		r.readLatN++
+		r.res.ReadLatency.Add(int64(lat))
+	}
+	fl.done()
+}
+
+// release returns the record to its pool.
+func (fl *inflight) release() {
+	fl.done = nil
+	*fl.home = append(*fl.home, fl)
 }

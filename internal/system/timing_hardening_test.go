@@ -12,8 +12,8 @@ import (
 )
 
 // badDesign emits a structurally invalid outcome DAG: its op depends
-// on itself, which dispatchOps would never submit — the core waiting
-// on it would deadlock silently with its pooled buffer stranded.
+// on itself, which dispatch would never submit — the core waiting on
+// it would deadlock silently with its pooled in-flight record stranded.
 type badDesign struct {
 	ctr dcache.Counters
 }
