@@ -1,35 +1,21 @@
 // Command fplint runs the repository's custom static-analysis suite
 // (internal/lint): determinism, hotpath, faulterr, snapmeta,
-// workershare, and allocbudget. It works standalone —
+// workershare, and allocbudget, over the whole program at once so the
+// hotpath and workershare call graphs span package boundaries and
+// allocbudget can run the compiler's escape analysis.
 //
-//	fplint ./...                    # whole-program run, full call-graph closure
-//	fplint -analyzers hotpath ./...
-//	fplint -format sarif ./...      # SARIF 2.1.0 on stdout
-//	fplint -sarif out.sarif ./...   # text on stdout, SARIF to a file
-//	fplint -fix ./...               # apply suggested fixes in place
-//	fplint -baseline lint.baseline ./...
-//	fplint -write-baseline lint.baseline ./...
-//	fplint -list
+//	fplint ./...            # from the module root
+//	fplint -C dir ./...     # resolve patterns in another module
+//	fplint -list            # name the analyzers
 //
-// — and as a `go vet` plugin:
-//
-//	go build -o fplint ./cmd/fplint
-//	go vet -vettool=$PWD/fplint ./...
-//
-// In vettool mode each package is analyzed alone, so the hotpath and
-// workershare closures are package-local and allocbudget (which needs
-// the whole program and the module on disk) is a no-op; CI's
-// standalone step provides the full coverage. Standalone runs are also
-// strict about suppressions: an //fplint:ignore that suppresses
-// nothing is itself a finding (disable with -strict-ignores=false).
-// Exit status: 0 clean, 1 findings, 2 usage or load failure.
+// An //fplint:ignore directive that suppresses nothing is itself a
+// finding. Exit status: 0 clean, 1 findings, 2 usage or load failure.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"fpcache/internal/lint"
 	"fpcache/internal/lint/allocbudget"
@@ -107,26 +93,10 @@ func main() {
 }
 
 func run(args []string, stdout, stderr *os.File) int {
-	// go vet probes the tool with -flags and -V=full, then invokes it
-	// once per package with a .cfg file.
-	for _, a := range args {
-		if a == "-V=full" || a == "--V=full" || a == "-flags" || a == "--flags" || strings.HasSuffix(a, ".cfg") {
-			return lint.VetMain(args, suite(), stdout, stderr)
-		}
-	}
-
 	fs := flag.NewFlagSet("fplint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list analyzers and exit")
-	only := fs.String("analyzers", "", "comma-separated subset of analyzers to run")
 	dir := fs.String("C", ".", "directory to resolve package patterns in (the module root)")
-	fix := fs.Bool("fix", false, "apply suggested fixes in place, then report what remains")
-	baselinePath := fs.String("baseline", "", "suppress findings frozen in this baseline file")
-	writeBaseline := fs.String("write-baseline", "", "freeze current findings to this baseline file and exit")
-	format := fs.String("format", "text", "stdout format: text or sarif")
-	sarifPath := fs.String("sarif", "", "also write a SARIF 2.1.0 report to this file")
-	strictIgnores := fs.Bool("strict-ignores", true,
-		"treat //fplint:ignore directives that suppress nothing as findings (standalone only)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -137,38 +107,12 @@ func run(args []string, stdout, stderr *os.File) int {
 		}
 		return 0
 	}
-	if *only != "" {
-		keep := map[string]bool{}
-		for _, name := range strings.Split(*only, ",") {
-			keep[strings.TrimSpace(name)] = true
-		}
-		var sel []*lint.Analyzer
-		for _, a := range analyzers {
-			if keep[a.Name] {
-				sel = append(sel, a)
-				delete(keep, a.Name)
-			}
-		}
-		for name := range keep {
-			fmt.Fprintf(stderr, "fplint: unknown analyzer %q (try -list)\n", name)
-			return 2
-		}
-		analyzers = sel
-	}
-	if *format != "text" && *format != "sarif" {
-		fmt.Fprintf(stderr, "fplint: unknown -format %q (want text or sarif)\n", *format)
-		return 2
-	}
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 
-	// LoadShared memoizes the `go list -export -deps -json` enumeration
-	// and the module-wide type-check per (dir, patterns), so in-process
-	// callers running several stages (driver + tests, or repeated
-	// invocations in one CI step) pay for the load once.
-	prog, err := lint.LoadShared(*dir, patterns...)
+	prog, err := lint.Load(*dir, patterns...)
 	if err != nil {
 		fmt.Fprintf(stderr, "fplint: %v\n", err)
 		return 2
@@ -178,95 +122,15 @@ func run(args []string, stdout, stderr *os.File) int {
 		fmt.Fprintf(stderr, "fplint: %v\n", err)
 		return 2
 	}
-	if *strictIgnores {
-		enabled := map[string]bool{}
-		for _, a := range analyzers {
-			enabled[a.Name] = true
-		}
-		diags = append(diags, lint.StaleIgnores(audit, enabled)...)
-		lint.SortDiagnostics(diags)
+	enabled := map[string]bool{}
+	for _, a := range analyzers {
+		enabled[a.Name] = true
 	}
+	diags = append(diags, lint.StaleIgnores(audit, enabled)...)
+	lint.SortDiagnostics(diags)
 
-	if *writeBaseline != "" {
-		if err := lint.WriteBaseline(*writeBaseline, prog.RootDir, diags); err != nil {
-			fmt.Fprintf(stderr, "fplint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stdout, "fplint: froze %d finding(s) to %s\n", len(diags), *writeBaseline)
-		return 0
-	}
-	if *baselinePath != "" {
-		bl, err := lint.ReadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(stderr, "fplint: %v\n", err)
-			return 2
-		}
-		kept, suppressed, stale := bl.Filter(prog.RootDir, diags)
-		diags = kept
-		if suppressed > 0 {
-			fmt.Fprintf(stderr, "fplint: %d finding(s) suppressed by %s\n", suppressed, *baselinePath)
-		}
-		for _, k := range stale {
-			fmt.Fprintf(stderr, "fplint: stale baseline entry (matches nothing, delete it): %s\n",
-				strings.ReplaceAll(k, "\t", " | "))
-		}
-	}
-
-	if *fix {
-		res, err := lint.ApplyFixes(diags)
-		if err != nil {
-			fmt.Fprintf(stderr, "fplint: %v\n", err)
-			return 2
-		}
-		for _, f := range res.Files {
-			fmt.Fprintf(stdout, "fplint: fixed %s\n", f)
-		}
-		if len(res.Files) > 0 {
-			// The tree changed under the memoized load.
-			lint.InvalidateShared(*dir)
-		}
-		fmt.Fprintf(stderr, "fplint: applied %d fix(es), %d finding(s) skipped (overlap)\n",
-			len(res.Applied), len(res.Skipped))
-		// Findings whose fix landed are resolved; what remains needs a
-		// human.
-		fixed := map[string]bool{}
-		for _, d := range res.Applied {
-			fixed[d.String()] = true
-		}
-		var rest []lint.Diagnostic
-		for _, d := range diags {
-			if !fixed[d.String()] {
-				rest = append(rest, d)
-			}
-		}
-		diags = rest
-	}
-
-	if *sarifPath != "" {
-		f, err := os.Create(*sarifPath)
-		if err != nil {
-			fmt.Fprintf(stderr, "fplint: %v\n", err)
-			return 2
-		}
-		werr := lint.WriteSARIF(f, prog.RootDir, analyzers, diags)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintf(stderr, "fplint: writing %s: %v\n", *sarifPath, werr)
-			return 2
-		}
-	}
-	switch *format {
-	case "sarif":
-		if err := lint.WriteSARIF(stdout, prog.RootDir, analyzers, diags); err != nil {
-			fmt.Fprintf(stderr, "fplint: %v\n", err)
-			return 2
-		}
-	default:
-		for _, d := range diags {
-			fmt.Fprintf(stdout, "%s\n", d)
-		}
+	for _, d := range diags {
+		fmt.Fprintf(stdout, "%s\n", d)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(stderr, "fplint: %d finding(s)\n", len(diags))

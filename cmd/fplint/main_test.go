@@ -1,29 +1,34 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"fpcache/internal/lint"
 )
 
-// loadShipped loads the repository itself, memoized across every test
-// in this package via LoadShared — the whole-module type-check runs
-// once no matter how many tests consume it.
+var (
+	shippedOnce sync.Once
+	shippedProg *lint.Program
+	shippedErr  error
+)
+
+// loadShipped loads the repository itself once for every test in this
+// package — the whole-module type-check runs once no matter how many
+// tests consume it.
 func loadShipped(t *testing.T) *lint.Program {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("whole-module load in -short mode")
 	}
-	prog, err := lint.LoadShared("../..", "./...")
-	if err != nil {
-		t.Fatalf("loading module: %v", err)
+	shippedOnce.Do(func() { shippedProg, shippedErr = lint.Load("../..", "./...") })
+	if shippedErr != nil {
+		t.Fatalf("loading module: %v", shippedErr)
 	}
-	return prog
+	return shippedProg
 }
 
 // TestShippedTreeIsClean is the suite's own regression gate: the
@@ -99,20 +104,6 @@ func TestSuiteScopes(t *testing.T) {
 	}
 }
 
-// TestVetHandshake checks the `go vet -vettool` version protocol: the
-// tool must answer -V=full with a single stable line cmd/go can use as
-// a cache key.
-func TestVetHandshake(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := lint.VetMain([]string{"-V=full"}, suite(), &out, &errb); code != 0 {
-		t.Fatalf("-V=full exited %d, stderr: %s", code, errb.String())
-	}
-	got := strings.TrimSpace(out.String())
-	if got != lint.VetVersionString {
-		t.Errorf("-V=full printed %q, want %q", got, lint.VetVersionString)
-	}
-}
-
 // runDriver invokes run() as the CLI would, capturing stdout.
 func runDriver(t *testing.T, args ...string) (int, string) {
 	t.Helper()
@@ -147,118 +138,58 @@ func writeTempModule(t *testing.T, files map[string]string) string {
 	return dir
 }
 
-// TestBaselineRoundTrip freezes a tree's findings with -write-baseline
-// and confirms -baseline then suppresses exactly those findings,
-// turning exit 1 into exit 0.
-func TestBaselineRoundTrip(t *testing.T) {
+// TestDriverExitCodes runs the CLI end to end on throwaway modules:
+// findings exit 1 and print on stdout, a clean tree exits 0, a stale
+// ignore directive is a finding, and options the driver does not have
+// are usage errors.
+func TestDriverExitCodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns go list in -short mode")
 	}
-	dir := writeTempModule(t, map[string]string{
-		"internal/system/clock.go": `package system
+	const (
+		dirty = `package system
 
 import "time"
 
 func Stamp() int64 { return time.Now().UnixNano() }
-`,
-	})
-	if code, _ := runDriver(t, "-C", dir, "./..."); code != 1 {
-		t.Fatalf("dirty tree exited %d, want 1", code)
-	}
-	bl := filepath.Join(dir, "lint.baseline")
-	if code, _ := runDriver(t, "-C", dir, "-write-baseline", bl, "./..."); code != 0 {
-		t.Fatalf("-write-baseline exited %d, want 0", code)
-	}
-	if code, out := runDriver(t, "-C", dir, "-baseline", bl, "./..."); code != 0 {
-		t.Fatalf("baselined tree exited %d, want 0; stdout:\n%s", code, out)
-	}
-}
+`
+		clean = `package system
 
-// TestFixRewritesInPlace drives -fix end to end: a faulterr finding
-// with a mechanical rewrite is applied to disk and the re-run is
-// clean.
-func TestFixRewritesInPlace(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns go list in -short mode")
-	}
-	dir := writeTempModule(t, map[string]string{
-		"internal/snap/snap.go": `package snap
+func Stamp() int64 { return 0 }
+`
+		stale = `package system
 
-import "fmt"
-
-func Restore(path string, cause error) error {
-	return fmt.Errorf("restore %s: %v", path, cause)
-}
-`,
-	})
-	code, out := runDriver(t, "-C", dir, "-fix", "./...")
-	if code != 0 {
-		t.Fatalf("-fix exited %d, want 0 (all findings fixable); stdout:\n%s", code, out)
+//fplint:ignore determinism the stamp feeds a documented wall-clock field
+func Stamp() int64 { return 0 }
+`
+	)
+	for _, tc := range []struct {
+		name   string
+		src    string
+		flags  []string
+		code   int
+		stdout string
+	}{
+		{name: "finding", src: dirty, code: 1, stdout: "[determinism] time.Now"},
+		{name: "clean", src: clean, code: 0},
+		{name: "stale-ignore", src: stale, code: 1, stdout: "[fplint] stale //fplint:ignore determinism"},
+		{name: "fix", src: dirty, flags: []string{"-fix"}, code: 2},
+		{name: "sarif", src: dirty, flags: []string{"-sarif", "x"}, code: 2},
+		{name: "analyzers", src: dirty, flags: []string{"-analyzers", "hotpath"}, code: 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := writeTempModule(t, map[string]string{"internal/system/clock.go": tc.src})
+			args := append(append([]string{"-C", dir}, tc.flags...), "./...")
+			code, out := runDriver(t, args...)
+			if code != tc.code {
+				t.Fatalf("exited %d, want %d; stdout:\n%s", code, tc.code, out)
+			}
+			if tc.stdout != "" && !strings.Contains(out, tc.stdout) {
+				t.Errorf("stdout lacks %q:\n%s", tc.stdout, out)
+			}
+			if tc.code == 0 && out != "" {
+				t.Errorf("clean run printed:\n%s", out)
+			}
+		})
 	}
-	src, err := os.ReadFile(filepath.Join(dir, "internal/snap/snap.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(src), `"restore %s: %w"`) {
-		t.Errorf("fix did not rewrite %%v to %%w; file now:\n%s", src)
-	}
-	if code, _ := runDriver(t, "-C", dir, "./..."); code != 0 {
-		t.Errorf("tree still dirty after -fix, exited %d", code)
-	}
-}
-
-// TestSARIFOutput smoke-tests -format sarif: well-formed SARIF 2.1.0
-// with one run, all six rules, and one result per finding.
-func TestSARIFOutput(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns go list in -short mode")
-	}
-	dir := writeTempModule(t, map[string]string{
-		"internal/system/clock.go": `package system
-
-import "time"
-
-func Stamp() int64 { return time.Now().UnixNano() }
-`,
-	})
-	code, out := runDriver(t, "-C", dir, "-format", "sarif", "./...")
-	if code != 1 {
-		t.Fatalf("dirty tree exited %d, want 1", code)
-	}
-	var doc struct {
-		Version string `json:"version"`
-		Runs    []struct {
-			Tool struct {
-				Driver struct {
-					Rules []struct {
-						ID string `json:"id"`
-					} `json:"rules"`
-				} `json:"driver"`
-			} `json:"tool"`
-			Results []struct {
-				RuleID  string `json:"ruleId"`
-				Message struct {
-					Text string `json:"text"`
-				} `json:"message"`
-			} `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal([]byte(out), &doc); err != nil {
-		t.Fatalf("stdout is not JSON: %v\n%s", err, out)
-	}
-	if doc.Version != "2.1.0" || len(doc.Runs) != 1 {
-		t.Fatalf("want SARIF 2.1.0 with one run, got version %q, %d runs", doc.Version, len(doc.Runs))
-	}
-	if got := len(doc.Runs[0].Tool.Driver.Rules); got < 6 {
-		t.Errorf("SARIF declares %d rules, want at least 6", got)
-	}
-	if len(doc.Runs[0].Results) == 0 {
-		t.Error("SARIF has no results for a dirty tree")
-	}
-	for _, r := range doc.Runs[0].Results {
-		if r.RuleID == "determinism" && strings.Contains(r.Message.Text, "time.Now") {
-			return
-		}
-	}
-	t.Errorf("no determinism/time.Now result in SARIF output:\n%s", out)
 }

@@ -18,10 +18,8 @@
 // panic(...) are exempt, matching the hotpath analyzer's rule: the
 // panic path is already catastrophic.
 //
-// The analyzer needs the whole program and the module on disk, so it
-// runs only in standalone mode (`fplint ./...`); under `go vet
-// -vettool` (Pass.Program == nil) and on in-memory fixture programs
-// (no root directory) it is a no-op. The build cache replays -m
+// The analyzer needs the module on disk, so on fixture programs (no
+// root directory) it is a no-op. The build cache replays -m
 // diagnostics on cache hits, so repeated runs cost one cache probe,
 // not a recompile.
 package allocbudget
@@ -76,8 +74,8 @@ type finding struct {
 }
 
 func run(pass *lint.Pass) error {
-	if pass.Program == nil || pass.Program.RootDir == "" {
-		return nil // vet mode or in-memory fixture: no module to build
+	if pass.Program.RootDir == "" {
+		return nil // fixture program: no module to build
 	}
 	memo, ok := pass.Program.Memo[memoKey]
 	if !ok {

@@ -3,8 +3,8 @@ package allocbudget_test
 // The allocbudget analyzer shells out to the go tool, so its fixtures
 // are real modules materialized in t.TempDir() rather than in-memory
 // testdata packages: each test writes go.mod plus sources, loads the
-// module with lint.Load (which sets Program.RootDir, the analyzer's
-// standalone-mode gate), and asserts on the findings.
+// module with lint.Load (which sets Program.RootDir, without which the
+// analyzer is a no-op), and asserts on the findings.
 
 import (
 	"os"

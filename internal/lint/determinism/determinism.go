@@ -17,10 +17,7 @@ package determinism
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"sort"
-	"strings"
 
 	"fpcache/internal/lint"
 )
@@ -43,13 +40,12 @@ var randConstructors = map[string]bool{
 
 func run(pass *lint.Pass) error {
 	for _, file := range pass.Files {
-		file := file
 		lint.WithStack(file, func(stack []ast.Node) bool {
 			switch n := stack[len(stack)-1].(type) {
 			case *ast.CallExpr:
 				checkCall(pass, n)
 			case *ast.RangeStmt:
-				checkMapRange(pass, file, n, stack)
+				checkMapRange(pass, n, stack)
 			}
 			return true
 		})
@@ -84,13 +80,12 @@ func checkCall(pass *lint.Pass, call *ast.CallExpr) {
 
 // checkMapRange flags `for ... := range m` over a map whose body has
 // order-sensitive effects and no later sort in the enclosing block.
-func checkMapRange(pass *lint.Pass, file *ast.File, rng *ast.RangeStmt, stack []ast.Node) {
+func checkMapRange(pass *lint.Pass, rng *ast.RangeStmt, stack []ast.Node) {
 	t := pass.Info.TypeOf(rng.X)
 	if t == nil {
 		return
 	}
-	mt, ok := t.Underlying().(*types.Map)
-	if !ok {
+	if _, ok := t.Underlying().(*types.Map); !ok {
 		return
 	}
 	effect := orderSensitiveEffect(pass, rng.Body)
@@ -100,128 +95,9 @@ func checkMapRange(pass *lint.Pass, file *ast.File, rng *ast.RangeStmt, stack []
 	if sortFollows(pass, rng, stack) {
 		return
 	}
-	pass.ReportFix(rng.Pos(), sortedKeysFix(pass, file, rng, mt),
+	pass.Reportf(rng.Pos(),
 		"map iteration order is random, and this loop %s with no sort after it; "+
 			"collect keys, sort, and iterate the slice", effect)
-}
-
-// sortedKeysFix builds the mechanical rewrite of a key-only map range
-//
-//	for k := range m { ... }   →   for _, k := range slices.Sorted(maps.Keys(m)) { ... }
-//
-// plus the "maps"/"slices" import edits the file is missing. The fix
-// abstains (empty edits, finding reported plain) when the loop also
-// binds the value, the key type is not ordered, or either package is
-// imported under another name.
-func sortedKeysFix(pass *lint.Pass, file *ast.File, rng *ast.RangeStmt, mt *types.Map) lint.SuggestedFix {
-	key, ok := rng.Key.(*ast.Ident)
-	if !ok || key.Name == "_" || rng.Value != nil || rng.Tok != token.DEFINE {
-		return lint.SuggestedFix{}
-	}
-	basic, ok := mt.Key().Underlying().(*types.Basic)
-	if !ok || basic.Info()&types.IsOrdered == 0 {
-		return lint.SuggestedFix{} // slices.Sorted needs cmp.Ordered keys
-	}
-	impEdits, ok := importEdits(pass, file, "maps", "slices")
-	if !ok {
-		return lint.SuggestedFix{}
-	}
-	edits := []lint.TextEdit{
-		pass.Edit(key.Pos(), key.Pos(), "_, "),
-		pass.Edit(rng.X.Pos(), rng.X.Pos(), "slices.Sorted(maps.Keys("),
-		pass.Edit(rng.X.End(), rng.X.End(), "))"),
-	}
-	return lint.SuggestedFix{
-		Message: "iterate the sorted keys via slices.Sorted(maps.Keys(...))",
-		Edits:   append(edits, impEdits...),
-	}
-}
-
-// importEdits returns the edits adding the given stdlib paths to the
-// file's import block, skipping paths already imported under their
-// default name. ok is false when a path is imported renamed, or the
-// file's import shape is one the mechanical edit does not handle (a
-// single unparenthesized import).
-func importEdits(pass *lint.Pass, file *ast.File, paths ...string) ([]lint.TextEdit, bool) {
-	var decl *ast.GenDecl
-	for _, d := range file.Decls {
-		if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.IMPORT {
-			decl = gd
-			break
-		}
-	}
-	have := map[string]bool{}
-	if decl != nil {
-		if !decl.Lparen.IsValid() {
-			return nil, false
-		}
-		for _, spec := range decl.Specs {
-			is := spec.(*ast.ImportSpec)
-			path := strings.Trim(is.Path.Value, `"`)
-			for _, p := range paths {
-				if path != p {
-					continue
-				}
-				if is.Name != nil {
-					return nil, false // renamed: maps.Keys would not resolve
-				}
-				have[p] = true
-			}
-		}
-	}
-	var missing []string
-	for _, p := range paths {
-		if !have[p] {
-			missing = append(missing, p)
-		}
-	}
-	sort.Strings(missing)
-	if len(missing) == 0 {
-		return nil, true
-	}
-	if decl == nil {
-		text := "\n\nimport (\n"
-		for _, p := range missing {
-			text += "\t\"" + p + "\"\n"
-		}
-		text += ")"
-		return []lint.TextEdit{pass.Edit(file.Name.End(), file.Name.End(), text)}, true
-	}
-	// Insert each path before the first existing spec that sorts after
-	// it, or before the closing paren; adjacent insertions at one anchor
-	// merge into a single edit so application order cannot reorder them.
-	anchors := map[token.Pos][]string{}
-	var order []token.Pos
-	for _, p := range missing {
-		anchor := decl.Rparen
-		for _, spec := range decl.Specs {
-			is := spec.(*ast.ImportSpec)
-			if strings.Trim(is.Path.Value, `"`) > p {
-				anchor = spec.Pos()
-				break
-			}
-		}
-		if _, ok := anchors[anchor]; !ok {
-			order = append(order, anchor)
-		}
-		anchors[anchor] = append(anchors[anchor], p)
-	}
-	var edits []lint.TextEdit
-	for _, anchor := range order {
-		ps := anchors[anchor]
-		var text string
-		if anchor == decl.Rparen {
-			for _, p := range ps {
-				text += "\t\"" + p + "\"\n"
-			}
-		} else {
-			for _, p := range ps {
-				text += "\"" + p + "\"\n\t"
-			}
-		}
-		edits = append(edits, pass.Edit(anchor, anchor, text))
-	}
-	return edits, true
 }
 
 // orderSensitiveEffect reports the first iteration-order-dependent

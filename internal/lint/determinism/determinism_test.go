@@ -21,11 +21,3 @@ func TestReasonlessIgnoreReportsAndSuppressesNothing(t *testing.T) {
 		`time\.Now in a deterministic package`,
 	})
 }
-
-func TestSortedKeysSuggestedFix(t *testing.T) {
-	linttest.RunFix(t, "testdata/fix", determinism.Analyzer)
-}
-
-func TestFixFixtureWants(t *testing.T) {
-	linttest.Run(t, "testdata/fix", determinism.Analyzer)
-}

@@ -11,7 +11,6 @@ package faulterr
 import (
 	"go/ast"
 	"go/constant"
-	"go/token"
 	"go/types"
 	"path"
 	"strings"
@@ -77,77 +76,10 @@ func checkCall(pass *lint.Pass, call *ast.CallExpr) {
 		if formatWraps(pass.Info, call.Args[0]) {
 			return
 		}
-		pass.ReportFix(call.Pos(), wrapVerbFix(pass, call),
+		pass.Reportf(call.Pos(),
 			"fmt.Errorf without %%w on a warm/restore path classifies as fault.ClassUnknown; "+
 				"wrap a fault.Err* sentinel or the underlying cause")
 	}
-}
-
-// errorIface is the built-in error interface, for argument matching.
-var errorIface = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
-
-// wrapVerbFix builds the mechanical %v→%w fix: when the format is a
-// plain interpreted string literal whose verbs map one-to-one onto the
-// arguments, and the verb for the (last) error-typed argument is %v or
-// %s, rewrite that verb to %w. Anything fancier — computed formats,
-// flagged or widthed verbs, no error argument — yields no fix and the
-// finding is reported plain.
-func wrapVerbFix(pass *lint.Pass, call *ast.CallExpr) lint.SuggestedFix {
-	lit, ok := ast.Unparen(call.Args[0]).(*ast.BasicLit)
-	if !ok || lit.Kind != token.STRING || !strings.HasPrefix(lit.Value, `"`) {
-		return lint.SuggestedFix{}
-	}
-	errIdx := -1
-	for i := 1; i < len(call.Args); i++ {
-		if t := pass.Info.TypeOf(call.Args[i]); t != nil && types.Implements(t, errorIface) {
-			errIdx = i
-		}
-	}
-	if errIdx < 0 {
-		return lint.SuggestedFix{}
-	}
-	verbs, simple := scanVerbs(lit.Value)
-	if !simple || len(verbs) != len(call.Args)-1 {
-		return lint.SuggestedFix{}
-	}
-	v := verbs[errIdx-1]
-	if v.char != 'v' && v.char != 's' {
-		return lint.SuggestedFix{}
-	}
-	from := lit.Pos() + token.Pos(v.off)
-	return lint.SuggestedFix{
-		Message: "replace the error argument's verb with %w",
-		Edits:   []lint.TextEdit{pass.Edit(from, from+2, "%w")},
-	}
-}
-
-// verb is one %x conversion at a byte offset of the literal source.
-type verb struct {
-	off  int
-	char byte
-}
-
-// scanVerbs extracts the conversion verbs of a format literal's source
-// text. simple is false when any verb carries flags, width, or
-// precision — the verb→argument mapping is then not byte-trivial and
-// the fix abstains.
-func scanVerbs(src string) (verbs []verb, simple bool) {
-	for i := 0; i+1 < len(src); i++ {
-		if src[i] != '%' {
-			continue
-		}
-		next := src[i+1]
-		if next == '%' {
-			i++
-			continue
-		}
-		if (next < 'a' || next > 'z') && (next < 'A' || next > 'Z') {
-			return nil, false
-		}
-		verbs = append(verbs, verb{off: i, char: next})
-		i++
-	}
-	return verbs, true
 }
 
 // formatWraps reports whether the format expression certainly contains

@@ -14,11 +14,3 @@ func TestFixtures(t *testing.T) {
 func TestIgnoreDirective(t *testing.T) {
 	linttest.Run(t, "testdata/ignored", faulterr.Analyzer)
 }
-
-func TestWrapVerbSuggestedFix(t *testing.T) {
-	linttest.RunFix(t, "testdata/fix", faulterr.Analyzer)
-}
-
-func TestFixFixtureWants(t *testing.T) {
-	linttest.Run(t, "testdata/fix", faulterr.Analyzer)
-}

@@ -15,12 +15,12 @@
 //   - map literals and make(map).
 //
 // Arguments of panic(...) are exempt — that path is already
-// catastrophic. In standalone fplint runs the closure spans every
-// package; under `go vet -vettool` each package is analyzed alone, so
-// only locally visible seeds and calls are covered (CI's standalone
-// step provides the full closure). The runtime allocation benchmarks
-// (alloc_test.go) remain the ground truth; this analyzer catches the
-// regression at compile time instead of bench time.
+// catastrophic. The closure spans every package of the run. The
+// runtime allocation benchmarks (alloc_test.go) remain the ground
+// truth; this analyzer catches the regression at compile time instead
+// of bench time, including constructs the compiler's escape analysis
+// (the allocbudget analyzer) never reports, such as string
+// concatenation or a growing append.
 package hotpath
 
 import (
@@ -52,7 +52,7 @@ type funcNode struct {
 }
 
 // closure is the program-wide result, memoized across per-package
-// passes of one standalone run.
+// passes of one run.
 type closure struct {
 	// hot maps each hot function (generic origin) to the seed that
 	// made it hot, for diagnostics.
@@ -62,15 +62,7 @@ type closure struct {
 }
 
 func run(pass *lint.Pass) error {
-	pkgs := []*lint.PackageInfo{{
-		ImportPath: pass.Pkg.Path(), Files: pass.Files, Pkg: pass.Pkg, Info: pass.Info,
-	}}
-	var cl *closure
-	if pass.Program != nil {
-		cl = programClosure(pass.Program)
-	} else {
-		cl = buildClosure(pkgs)
-	}
+	cl := programClosure(pass.Program)
 	// Report findings only for functions declared in this pass's
 	// package, so the whole-program closure yields each diagnostic
 	// exactly once.

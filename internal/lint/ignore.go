@@ -30,9 +30,6 @@ type IgnoreUse struct {
 	// Suppressed counts the findings the directive absorbed in this
 	// run. The shipped tree's contract is exactly one per directive.
 	Suppressed int
-
-	// delEdit removes the directive, for the stale-ignore fix.
-	delEdit TextEdit
 }
 
 type ignoreDirective struct {
@@ -40,7 +37,6 @@ type ignoreDirective struct {
 	pos       token.Position
 	ok        bool // has a reason
 	used      int
-	delEdit   TextEdit
 }
 
 // parseIgnore parses one comment, returning nil if it is not an
@@ -54,13 +50,7 @@ func parseIgnore(fset *token.FileSet, c *ast.Comment) *ignoreDirective {
 	if text != "" && text[0] != ' ' && text[0] != '\t' {
 		return nil
 	}
-	start := fset.Position(c.Pos())
-	end := fset.Position(c.End())
-	d := &ignoreDirective{
-		analyzers: map[string]bool{},
-		pos:       start,
-		delEdit:   TextEdit{Filename: start.Filename, Start: start.Offset, End: end.Offset},
-	}
+	d := &ignoreDirective{analyzers: map[string]bool{}, pos: fset.Position(c.Pos())}
 	fields := strings.Fields(text)
 	if len(fields) == 0 {
 		return d // analyzer list missing; reported, suppresses nothing
@@ -101,10 +91,6 @@ func applyIgnores(fset *token.FileSet, files []*ast.File, diags []Diagnostic) ([
 						Analyzer: "fplint",
 						Pos:      d.pos,
 						Message:  "//fplint:ignore needs an analyzer name and a reason: //fplint:ignore <analyzer> <why this is safe>",
-						Fixes: []SuggestedFix{{
-							Message: "delete the malformed directive (it suppresses nothing)",
-							Edits:   []TextEdit{d.delEdit},
-						}},
 					})
 					continue
 				}
@@ -136,7 +122,7 @@ func applyIgnores(fset *token.FileSet, files []*ast.File, diags []Diagnostic) ([
 			names = append(names, a)
 		}
 		sort.Strings(names)
-		audit = append(audit, IgnoreUse{Pos: d.pos, Analyzers: names, Suppressed: d.used, delEdit: d.delEdit})
+		audit = append(audit, IgnoreUse{Pos: d.pos, Analyzers: names, Suppressed: d.used})
 	}
 	return append(kept, malformed...), audit
 }

@@ -2,16 +2,17 @@
 // spirit of golang.org/x/tools/go/analysis, built only on the standard
 // library so the repository carries no external tool dependency. It
 // hosts the fplint analyzer suite (determinism, hotpath, faulterr,
-// snapmeta) that turns the repo's runtime-tested invariants — byte
-// identical parallel runs, 0 allocs/op on Design.Access, classified
-// warm/restore errors, versioned snapshot layouts — into compile-time
-// checks.
+// snapmeta, workershare, allocbudget) that turns the repo's
+// runtime-tested invariants — byte-identical parallel runs, 0
+// allocs/op on Design.Access, classified warm/restore errors,
+// versioned snapshot layouts, index-committed worker writes — into
+// compile-time checks.
 //
 // The moving parts mirror go/analysis deliberately: an Analyzer owns a
 // Run function over a Pass; a Pass exposes one type-checked package
-// (syntax, *types.Package, *types.Info); Program bundles every package
-// of a standalone run so whole-program analyses (the hotpath call
-// graph) can see across package boundaries. Load builds a Program by
+// (syntax, *types.Package, *types.Info) plus the Program it belongs
+// to, so whole-program analyses (the hotpath and workershare call
+// graphs) can see across package boundaries. Load builds a Program by
 // shelling out to `go list -export -deps -json` and type-checking the
 // module's packages against the gc export data of their dependencies,
 // which works fully offline.
@@ -21,7 +22,7 @@
 //	//fplint:ignore <analyzer>[,<analyzer>] <reason>
 //
 // where the reason is mandatory: a directive without one is itself a
-// diagnostic.
+// diagnostic, and one that suppresses nothing is reported as stale.
 package lint
 
 import (
@@ -52,30 +53,10 @@ type Diagnostic struct {
 	Analyzer string
 	Pos      token.Position
 	Message  string
-	// Fixes are optional mechanical corrections; fplint -fix applies
-	// the first fix of each finding when its edits do not overlap
-	// another applied fix.
-	Fixes []SuggestedFix
 }
 
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: [%s] %s", d.Pos, d.Analyzer, d.Message)
-}
-
-// SuggestedFix is one mechanical correction for a finding: a set of
-// byte-offset edits that, applied together, resolve it.
-type SuggestedFix struct {
-	// Message describes the fix for reports ("replace %v with %w").
-	Message string
-	Edits   []TextEdit
-}
-
-// TextEdit replaces the bytes [Start, End) of Filename with NewText.
-// Start == End inserts.
-type TextEdit struct {
-	Filename   string
-	Start, End int
-	NewText    string
 }
 
 // Pass carries one type-checked package through one analyzer.
@@ -87,9 +68,8 @@ type Pass struct {
 	Pkg   *types.Package
 	Info  *types.Info
 	Sizes types.Sizes
-	// Program is the whole standalone run, nil when analyzing a single
-	// package in `go vet -vettool` mode — whole-program analyses must
-	// degrade to package-local reasoning when it is nil.
+	// Program is the whole run, for analyses that reason across
+	// package boundaries.
 	Program *Program
 
 	diags *[]Diagnostic
@@ -116,29 +96,6 @@ func (p *Pass) ReportAt(pos token.Position, format string, args ...any) {
 	})
 }
 
-// ReportFix records a finding at pos carrying one suggested fix. A fix
-// with no edits is dropped (the analyzer decided mid-construction the
-// rewrite was not safe) and the finding reported plain.
-func (p *Pass) ReportFix(pos token.Pos, fix SuggestedFix, format string, args ...any) {
-	d := Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Pos:      p.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-	}
-	if len(fix.Edits) > 0 {
-		d.Fixes = []SuggestedFix{fix}
-	}
-	*p.diags = append(*p.diags, d)
-}
-
-// Edit builds a TextEdit replacing the source range [from, to) with
-// newText, resolving token positions to byte offsets.
-func (p *Pass) Edit(from, to token.Pos, newText string) TextEdit {
-	start := p.Fset.Position(from)
-	end := p.Fset.Position(to)
-	return TextEdit{Filename: start.Filename, Start: start.Offset, End: end.Offset, NewText: newText}
-}
-
 // RunProgram runs every analyzer over every package of prog (honoring
 // Analyzer.Match), applies the //fplint:ignore directives, and returns
 // the surviving diagnostics in deterministic order.
@@ -151,8 +108,8 @@ func RunProgram(prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
 // returns one IgnoreUse per well-formed //fplint:ignore directive in
 // the analyzed packages, recording how many findings each suppressed.
 // A directive with Suppressed == 0 is stale — the code it excused no
-// longer trips the analyzer — and strict callers turn it into a
-// finding (StaleIgnores).
+// longer trips the analyzer — and callers turn it into a finding
+// (StaleIgnores).
 func RunProgramAudit(prog *Program, analyzers []*Analyzer) ([]Diagnostic, []IgnoreUse, error) {
 	var diags []Diagnostic
 	var audit []IgnoreUse
@@ -192,10 +149,9 @@ func RunProgramAudit(prog *Program, analyzers []*Analyzer) ([]Diagnostic, []Igno
 
 // StaleIgnores converts unused directives into findings: a directive
 // that suppressed nothing for any of the enabled analyzers it names is
-// a lost invariant waiting to regress silently. Each finding carries a
-// fix deleting the directive. enabled is the set of analyzer names
-// that actually ran; directives naming only other analyzers are left
-// alone (a scoped or filtered run cannot judge them).
+// a lost invariant waiting to regress silently. enabled is the set of
+// analyzer names that actually ran; directives naming only other
+// analyzers are left alone (a run without them cannot judge them).
 func StaleIgnores(audit []IgnoreUse, enabled map[string]bool) []Diagnostic {
 	var out []Diagnostic
 	for _, u := range audit {
@@ -221,7 +177,6 @@ func StaleIgnores(audit []IgnoreUse, enabled map[string]bool) []Diagnostic {
 			Pos:      u.Pos,
 			Message: fmt.Sprintf("stale //fplint:ignore %s: it suppresses no finding; "+
 				"delete it (or re-justify it) so silenced invariants stay visible", names),
-			Fixes: []SuggestedFix{{Message: "delete the stale directive", Edits: []TextEdit{u.delEdit}}},
 		})
 	}
 	return out

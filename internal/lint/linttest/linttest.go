@@ -14,10 +14,7 @@
 package linttest
 
 import (
-	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -77,53 +74,6 @@ func RunExpect(t *testing.T, dir string, a *lint.Analyzer, patterns []string) {
 		}
 		if !found {
 			t.Errorf("no diagnostic matches %q:\n%s", p, render(diags))
-		}
-	}
-}
-
-// RunFix analyzes the fixture, applies the first suggested fix of
-// every diagnostic in memory, and compares each patched file against
-// its checked-in `<name>.golden` sibling. Files without fixes need no
-// golden; a golden without fixes is an error.
-func RunFix(t *testing.T, dir string, a *lint.Analyzer) {
-	t.Helper()
-	prog, err := lint.LoadFixture(dir)
-	if err != nil {
-		t.Fatalf("loading fixture %s: %v", dir, err)
-	}
-	diags, err := lint.RunProgram(prog, []*lint.Analyzer{a})
-	if err != nil {
-		t.Fatalf("running %s on %s: %v", a.Name, dir, err)
-	}
-	byFile := map[string][]lint.TextEdit{}
-	for _, d := range diags {
-		if len(d.Fixes) == 0 {
-			continue
-		}
-		for _, e := range d.Fixes[0].Edits {
-			byFile[e.Filename] = append(byFile[e.Filename], e)
-		}
-	}
-	if len(byFile) == 0 {
-		t.Fatalf("no diagnostic in %s carries a suggested fix", dir)
-	}
-	for file, edits := range byFile {
-		src, err := os.ReadFile(file)
-		if err != nil {
-			t.Fatalf("reading %s: %v", file, err)
-		}
-		got, err := lint.ApplyEdits(src, edits)
-		if err != nil {
-			t.Fatalf("applying fixes to %s: %v", file, err)
-		}
-		golden := file + ".golden"
-		want, err := os.ReadFile(golden)
-		if err != nil {
-			t.Fatalf("reading golden %s: %v", golden, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("fixed %s differs from %s:\n--- got ---\n%s\n--- want ---\n%s",
-				filepath.Base(file), filepath.Base(golden), got, want)
 		}
 	}
 }

@@ -1,6 +1,6 @@
 package lint
 
-// Package loading for standalone runs: `go list -export -deps -json`
+// Package loading: `go list -export -deps -json`
 // enumerates the target packages and compiles export data for every
 // dependency (stdlib included), then the targets are parsed and
 // type-checked in the dependency order go list already guarantees.
@@ -26,8 +26,8 @@ import (
 	"sync"
 )
 
-// Program is every package of one standalone lint run, in dependency
-// order (dependencies before dependents).
+// Program is every package of one lint run, in dependency order
+// (dependencies before dependents).
 type Program struct {
 	Fset     *token.FileSet
 	Sizes    types.Sizes
@@ -179,62 +179,6 @@ func Load(dir string, patterns ...string) (*Program, error) {
 		prog.byPath[p.ImportPath] = pi
 	}
 	return prog, nil
-}
-
-// --- shared whole-program load ----------------------------------------
-
-var (
-	sharedMu    sync.Mutex
-	sharedProgs = map[string]*sharedLoad{}
-)
-
-type sharedLoad struct {
-	once sync.Once
-	prog *Program
-	err  error
-}
-
-// LoadShared is Load with a process-wide memo: repeated requests for
-// the same (dir, patterns) return one Program, so a test binary (or a
-// driver running several whole-program stages) pays the `go list
-// -export -deps -json` enumeration and the module-wide type-check
-// once instead of per caller. The shared Program's Memo is shared
-// too, which is the point — the hotpath closure and the allocbudget
-// escape scan amortize across everything that runs over it. Callers
-// must treat the Program as immutable.
-func LoadShared(dir string, patterns ...string) (*Program, error) {
-	key := dir
-	if abs, err := filepath.Abs(dir); err == nil {
-		key = abs
-	}
-	key += "\x00" + strings.Join(patterns, "\x00")
-	sharedMu.Lock()
-	sl, ok := sharedProgs[key]
-	if !ok {
-		sl = &sharedLoad{}
-		sharedProgs[key] = sl
-	}
-	sharedMu.Unlock()
-	sl.once.Do(func() { sl.prog, sl.err = Load(dir, patterns...) })
-	return sl.prog, sl.err
-}
-
-// InvalidateShared drops every LoadShared memo entry for dir. Callers
-// that mutate the tree on disk (fplint -fix, test scaffolding) must
-// invalidate before the next LoadShared, or they get the pre-edit
-// Program back.
-func InvalidateShared(dir string) {
-	key := dir
-	if abs, err := filepath.Abs(dir); err == nil {
-		key = abs
-	}
-	sharedMu.Lock()
-	defer sharedMu.Unlock()
-	for k := range sharedProgs {
-		if k == key || strings.HasPrefix(k, key+"\x00") {
-			delete(sharedProgs, k)
-		}
-	}
 }
 
 func newInfo() *types.Info {

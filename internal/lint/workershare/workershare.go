@@ -31,9 +31,7 @@
 // writing a captured map, mutating package-level state directly or
 // through a same-program call chain — is exactly the class of bug the
 // `-race`+`-j1`/`-jN` parity discipline exists to catch, surfaced at
-// compile time. In standalone runs the call-graph reach spans
-// packages; under `go vet -vettool` it degrades to package-local
-// reasoning.
+// compile time. The call-graph reach spans every package of the run.
 package workershare
 
 import (
@@ -395,28 +393,21 @@ func (w *walker) reaches(fn *types.Func, depth int, seen map[*types.Func]bool) *
 	return found
 }
 
-// declOf resolves a function's declaration: in this package, or — in
-// standalone whole-program runs — anywhere in the program.
+// declOf resolves a function's declaration anywhere in the program.
 func (w *walker) declOf(fn *types.Func) (*ast.FuncDecl, *types.Info) {
-	find := func(files []*ast.File, info *types.Info) *ast.FuncDecl {
-		for _, file := range files {
-			for _, d := range file.Decls {
-				if fd, ok := d.(*ast.FuncDecl); ok {
-					if obj, _ := info.Defs[fd.Name].(*types.Func); obj != nil && obj.Origin() == fn {
-						return fd
-					}
+	if fn.Pkg() == nil {
+		return nil, nil
+	}
+	pkg := w.pass.Program.Package(fn.Pkg().Path())
+	if pkg == nil {
+		return nil, nil
+	}
+	for _, file := range pkg.Files {
+		for _, d := range file.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok {
+				if obj, _ := pkg.Info.Defs[fd.Name].(*types.Func); obj != nil && obj.Origin() == fn {
+					return fd, pkg.Info
 				}
-			}
-		}
-		return nil
-	}
-	if fd := find(w.pass.Files, w.pass.Info); fd != nil {
-		return fd, w.pass.Info
-	}
-	if w.pass.Program != nil && fn.Pkg() != nil {
-		if pkg := w.pass.Program.Package(fn.Pkg().Path()); pkg != nil {
-			if fd := find(pkg.Files, pkg.Info); fd != nil {
-				return fd, pkg.Info
 			}
 		}
 	}
