@@ -21,3 +21,7 @@ func TestReasonlessIgnoreReportsAndSuppressesNothing(t *testing.T) {
 		`time\.Now in a deterministic package`,
 	})
 }
+
+func TestFixFixtureWants(t *testing.T) {
+	linttest.Run(t, "testdata/fix", determinism.Analyzer)
+}

@@ -1,6 +1,5 @@
-// Fixture for the determinism suggested fix: a key-only map range
-// with order-sensitive effects becomes iteration over
-// slices.Sorted(maps.Keys(m)), with the import edits included.
+// Fixture for key-only map ranges with order-sensitive effects: a
+// range that prints is flagged in a file with an import block.
 package a
 
 import (

@@ -1,5 +1,5 @@
-// Second fixture file: the fix must synthesize a whole import block
-// when the file has none.
+// Second fixture file: a key-only range that appends is flagged the
+// same in a file with no import block.
 package a
 
 func Collect(m map[int]string) []string {

@@ -14,3 +14,7 @@ func TestFixtures(t *testing.T) {
 func TestIgnoreDirective(t *testing.T) {
 	linttest.Run(t, "testdata/ignored", faulterr.Analyzer)
 }
+
+func TestFixFixtureWants(t *testing.T) {
+	linttest.Run(t, "testdata/fix", faulterr.Analyzer)
+}

@@ -20,21 +20,6 @@ func unwrapped(n int) error {
 	return fmt.Errorf("bad record %d", n) // want `fmt\.Errorf without %w on a warm/restore path`
 }
 
-// An error argument formatted with %v or %s is flattened to text:
-// fault.ClassOf cannot see through it.
-func flattenedV(path string, cause error) error {
-	return fmt.Errorf("restore %s: %v", path, cause) // want `fmt\.Errorf without %w on a warm/restore path`
-}
-
-func flattenedS(err error) error {
-	return fmt.Errorf("seal snapshot: %s", err) // want `fmt\.Errorf without %w on a warm/restore path`
-}
-
-// A flagged or widthed verb is still not %w.
-func padded(err error) error {
-	return fmt.Errorf("padded %-20s", err) // want `fmt\.Errorf without %w on a warm/restore path`
-}
-
 func wrapped(n int) error {
 	return fmt.Errorf("bad record %d: %w", n, errCorrupt)
 }

@@ -1,6 +1,5 @@
-// Fixture for the faulterr suggested fix: Errorf verbs for error
-// arguments become %w; constructs without a mechanical rewrite are
-// reported plain.
+// Fixture for error arguments formatted without %w: %v and %s
+// flatten the error to text, and so does a flagged verb.
 package a
 
 import (
@@ -21,7 +20,6 @@ func Legacy() error {
 }
 
 func Padded(err error) error {
-	// %-20s carries a flag: the verb→argument mapping is not
-	// byte-trivial, so no fix — the finding is reported plain.
+	// %-20s carries a flag and a width; it is still not %w.
 	return fmt.Errorf("padded %-20s", err) // want `fmt\.Errorf without %w`
 }
