@@ -15,6 +15,7 @@ import (
 
 	"fpcache/internal/dcache"
 	"fpcache/internal/memtrace"
+	"fpcache/internal/system"
 )
 
 // allocBudgetKinds is every design the zero-allocation budget covers:
@@ -112,6 +113,51 @@ func TestTimingZeroAllocs(t *testing.T) {
 		t.Logf("%s: %d allocs at %d refs, %d at %d refs: %.4f marginal allocs/ref", cfg.Design, s, short, l, long, perRef)
 		if perRef > 0.01 {
 			t.Errorf("%s: RunTiming allocates %.4f per reference in steady state, want <= 0.01", cfg.Design, perRef)
+		}
+	}
+}
+
+// TestFunctionalZeroAllocs pins the functional runner's budget the
+// same way: after warmup, SimState.Measure — Design.Access plus the
+// off-chip and stacked DRAM trackers replaying its ops — allocates
+// nothing per reference, so two measured runs of different lengths
+// differ by at most the budget per reference.
+func TestFunctionalZeroAllocs(t *testing.T) {
+	const short, long = 50_000, 250_000
+	cases := []Config{
+		{Design: Footprint},
+		{Design: Block},
+		{Design: "footprint+memcache:50", ResizePeriodRefs: 20_000, ResizeFractions: []float64{0.25, 0.75}},
+	}
+	for _, cfg := range cases {
+		cfg.Workload, cfg.PaperCapacityMB = WebSearch, 64
+		d, err := NewDesign(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", cfg.Design, err)
+		}
+		src, _, err := NewTrace(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", cfg.Design, err)
+		}
+		state := system.NewSimState(d)
+		state.SetPolicy(cfg.ResizePolicy())
+		if err := state.Warm(src, 100_000); err != nil {
+			t.Fatalf("%s: %v", cfg.Design, err)
+		}
+		mallocs := func(refs int) uint64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := state.Measure(src, refs); err != nil {
+				t.Fatalf("%s: %v", cfg.Design, err)
+			}
+			runtime.ReadMemStats(&after)
+			return after.Mallocs - before.Mallocs
+		}
+		s, l := mallocs(short), mallocs(long)
+		perRef := (float64(l) - float64(s)) / (long - short)
+		t.Logf("%s: %d allocs at %d refs, %d at %d refs: %.4f marginal allocs/ref", cfg.Design, s, short, l, long, perRef)
+		if perRef > 0.01 {
+			t.Errorf("%s: SimState.Measure allocates %.4f per reference in steady state, want <= 0.01", cfg.Design, perRef)
 		}
 	}
 }

@@ -10,6 +10,7 @@ package fpcache
 //	go run ./cmd/fpbench            # full-size reproduction
 
 import (
+	"fmt"
 	"io"
 	"math/rand"
 	"testing"
@@ -164,6 +165,30 @@ func BenchmarkDRAMController(b *testing.B) {
 		}
 	}
 	eng.Run(nil)
+}
+
+// BenchmarkTrackerAccess measures the functional DRAM row tracker on
+// 64B block and 2KB page transfers under both row policies.
+func BenchmarkTrackerAccess(b *testing.B) {
+	for _, policy := range []dram.RowPolicy{dram.OpenPage, dram.ClosePage} {
+		for _, bytes := range []int{64, 2048} {
+			b.Run(fmt.Sprintf("%v/%dB", policy, bytes), func(b *testing.B) {
+				cfg := dram.StackedDDR3_3200()
+				cfg.Policy = policy
+				tr := dram.NewTracker(cfg)
+				rng := rand.New(rand.NewSource(1))
+				addrs := make([]memtrace.Addr, 1<<12)
+				for i := range addrs {
+					addrs[i] = memtrace.Addr(rng.Intn(1<<24) &^ (bytes - 1))
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					tr.Access(addrs[i&(1<<12-1)], bytes, i%3 == 0)
+				}
+			})
+		}
+	}
 }
 
 // BenchmarkEventEngine measures raw DES throughput.

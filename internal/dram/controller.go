@@ -90,6 +90,7 @@ type Cmd struct {
 type Controller struct {
 	eng  *sim.Engine
 	cfg  Config
+	dec  decoder
 	t    cpuTiming
 	chns []*channelState
 	seq  uint64
@@ -112,10 +113,12 @@ type Controller struct {
 }
 
 // cpuTiming is the Timing table pre-converted to CPU cycles, so the
-// scheduling hot path never repeats the float conversion.
+// scheduling hot path never repeats the float conversion. burst is
+// the data-bus time of one 64B burst.
 type cpuTiming struct {
 	cas, rcd, rp, ras, rc, wr, wtr, rtw, rtp, rrd, faw sim.Cycle
 	refi, rfc                                          sim.Cycle
+	burst                                              sim.Cycle
 }
 
 type channelState struct {
@@ -178,6 +181,7 @@ func NewController(eng *sim.Engine, cfg Config) *Controller {
 	c := &Controller{
 		eng: eng,
 		cfg: cfg,
+		dec: newDecoder(&cfg),
 		t: cpuTiming{
 			cas: sim.Cycle(cfg.cpuCycles(tm.TCAS)),
 			rcd: sim.Cycle(cfg.cpuCycles(tm.TRCD)),
@@ -197,6 +201,7 @@ func NewController(eng *sim.Engine, cfg Config) *Controller {
 		c.t.refi = sim.Cycle(cfg.cpuCycles(tm.TREFI))
 		c.t.rfc = sim.Cycle(cfg.cpuCycles(tm.TRFC))
 	}
+	c.t.burst = sim.Cycle(cfg.BurstCPUCycles(64))
 	c.drainHigh, c.drainLow = cfg.writeThresholds()
 	for i := 0; i < cfg.Channels; i++ {
 		ch := &channelState{banks: make([]bankState, cfg.BanksPerChan)}
@@ -231,7 +236,7 @@ func (c *Controller) Submit(req *Request) {
 	req.arrived = c.eng.Now()
 	req.seq = c.seq
 	c.seq++
-	req.loc = c.cfg.Decode(req.Addr)
+	req.loc = c.dec.decode(req.Addr)
 	ch := c.chns[req.loc.Channel]
 	b := &ch.banks[req.loc.Bank]
 	if req.Write {
@@ -531,7 +536,7 @@ func (c *Controller) commit(chIdx int, ch *channelState, s sched) {
 		bursts = 1
 	}
 	dataStart := s.cas + c.t.cas
-	dataEnd := dataStart + sim.Cycle(uint64(bursts)*c.cfg.BurstCPUCycles(64))
+	dataEnd := dataStart + sim.Cycle(bursts)*c.t.burst
 	ch.busFreeAt = dataEnd
 	ch.busWrite = req.Write
 	ch.busUsed = true
@@ -547,7 +552,7 @@ func (c *Controller) commit(chIdx int, ch *channelState, s sched) {
 		// final burst slot before dataEnd), so the row stays open until
 		// the payload has streamed — a precharge or refresh must not
 		// close it mid-transfer.
-		lastCas := dataEnd - sim.Cycle(c.cfg.BurstCPUCycles(64)) - c.t.cas
+		lastCas := dataEnd - c.t.burst - c.t.cas
 		b.preReadyAt = max(b.preReadyAt, lastCas+c.t.rtp)
 		c.emit(Cmd{Kind: CmdRead, Channel: chIdx, Bank: s.bank, Row: req.loc.Row, At: s.cas})
 		c.ReadLatency.Add(int64(dataEnd - req.arrived))

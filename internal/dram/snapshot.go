@@ -12,7 +12,7 @@ import (
 // layer's warm-state version), so a fingerprint change means bumping
 // that const along with refreshing this directive.
 //
-//fplint:snapfields 0xda3920bd
+//fplint:snapfields 0x76b00641
 
 // Save serializes the functional model's warm state: open-row
 // registers and accumulated stats. The configuration itself is not

@@ -47,7 +47,9 @@ const warmStateKind = "fpcache-warmstate"
 // itself. Version 2 added interval identity (TraceID, AtRecord) so
 // interval checkpoints of a trace can never be mistaken for whole-run
 // warmup snapshots; version 3 appended the resize policy state
-// section (the adaptive controller's window and climb registers).
+// section (the adaptive controller's window and climb registers);
+// version 4 marks the DRAM tracker gaining its precomputed address
+// decoder, which changed its carrier fingerprint but not its bytes.
 // Bumping either version invalidates old entries cleanly: the content
 // key misses and the envelope check rejects.
 // The fplint snapmeta analyzer pins the serialized structs' field
@@ -55,7 +57,7 @@ const warmStateKind = "fpcache-warmstate"
 // this const, and refresh the directive.
 //
 //fplint:snapfields 0x3450f9ed
-const warmStateVersion = 3
+const warmStateVersion = 4
 
 // NewSimState builds the functional run state for a design, with DRAM
 // trackers configured per the design's policies.
