@@ -148,19 +148,52 @@ func benchBuiltAccess(b *testing.B, kind string) {
 	}
 }
 
-// BenchmarkDRAMController measures the event-driven DRAM timing model.
+// BenchmarkDRAMController measures the event-driven DRAM timing model
+// per request, submit to completion. Requests come from a ring of
+// long-lived dram.Requests, each resubmitted once its Done has fired,
+// so the loop times the controller and the engine rather than
+// allocation. open-page submits random 64B reads and writes and runs
+// the engine 10000 cycles ahead after every 64; close-page-saturated
+// keeps the whole ring in flight under close-page, so every bank queue
+// stays deep and each request waits on arbitration.
 func BenchmarkDRAMController(b *testing.B) {
+	b.Run("open-page", func(b *testing.B) {
+		benchController(b, dram.OpenPage, 64, false)
+	})
+	b.Run("close-page-saturated", func(b *testing.B) {
+		benchController(b, dram.ClosePage, 128, true)
+	})
+}
+
+func benchController(b *testing.B, policy dram.RowPolicy, ring int, saturated bool) {
+	cfg := dram.StackedDDR3_3200()
+	cfg.Policy = policy
 	eng := &sim.Engine{}
-	ctrl := dram.NewController(eng, dram.StackedDDR3_3200())
+	ctrl := dram.NewController(eng, cfg)
 	rng := rand.New(rand.NewSource(1))
+	addrs := make([]memtrace.Addr, 1<<12)
+	for i := range addrs {
+		addrs[i] = memtrace.Addr(rng.Intn(1<<20) * 64)
+	}
+	reqs := make([]dram.Request, ring)
+	busy := make([]bool, ring)
+	for i := range reqs {
+		reqs[i].Bytes = 64
+		reqs[i].Done = func(sim.Cycle) { busy[i] = false }
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ctrl.Submit(&dram.Request{
-			Addr:  memtrace.Addr(rng.Intn(1<<20) * 64),
-			Bytes: 64,
-			Write: i%3 == 0,
-		})
-		if i%64 == 0 {
+		slot := i % ring
+		for busy[slot] {
+			eng.Step()
+		}
+		r := &reqs[slot]
+		r.Addr = addrs[i&(len(addrs)-1)]
+		r.Write = i%3 == 0
+		busy[slot] = true
+		ctrl.Submit(r)
+		if !saturated && i%64 == 0 {
 			eng.RunUntil(eng.Now() + 10000)
 		}
 	}
@@ -191,20 +224,57 @@ func BenchmarkTrackerAccess(b *testing.B) {
 	}
 }
 
-// BenchmarkEventEngine measures raw DES throughput.
+// BenchmarkEventEngine measures raw DES throughput per event. chain
+// runs one event at a time, each scheduling the next a cycle later.
+// mixed-delta keeps 64 events pending at spread-out deltas: mostly
+// short, some up to 1000 cycles, and one in 64 beyond the event
+// queue's 2048-cycle timing wheel, into its overflow heap.
 func BenchmarkEventEngine(b *testing.B) {
-	eng := &sim.Engine{}
-	n := 0
-	var spawn func()
-	spawn = func() {
-		n++
-		if n < b.N {
-			eng.After(1, spawn)
+	b.Run("chain", func(b *testing.B) {
+		eng := &sim.Engine{}
+		n := 0
+		var spawn func()
+		spawn = func() {
+			n++
+			if n < b.N {
+				eng.After(1, spawn)
+			}
 		}
-	}
-	eng.Schedule(0, spawn)
-	b.ResetTimer()
-	eng.Run(nil)
+		eng.Schedule(0, spawn)
+		b.ReportAllocs()
+		b.ResetTimer()
+		eng.Run(nil)
+	})
+	b.Run("mixed-delta", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(1))
+		deltas := make([]sim.Cycle, 1<<10)
+		for i := range deltas {
+			switch {
+			case i%64 == 0:
+				deltas[i] = sim.Cycle(2048 + rng.Intn(8192))
+			case i%8 == 0:
+				deltas[i] = sim.Cycle(rng.Intn(1000))
+			default:
+				deltas[i] = sim.Cycle(rng.Intn(64))
+			}
+		}
+		rng.Shuffle(len(deltas), func(i, j int) { deltas[i], deltas[j] = deltas[j], deltas[i] })
+		eng := &sim.Engine{}
+		n := 0
+		var spawn func()
+		spawn = func() {
+			if n < b.N {
+				eng.After(deltas[n&(len(deltas)-1)], spawn)
+				n++
+			}
+		}
+		for i := 0; i < 64; i++ {
+			eng.Schedule(sim.Cycle(i), spawn)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		eng.Run(nil)
+	})
 }
 
 // BenchmarkFunctionalPipeline measures the end-to-end functional

@@ -1,6 +1,8 @@
 package dram
 
 import (
+	"math/bits"
+
 	"fpcache/internal/memtrace"
 	"fpcache/internal/sim"
 	"fpcache/internal/stats"
@@ -127,6 +129,13 @@ type channelState struct {
 	nWrites  int
 	draining bool
 
+	// rqMask / wqMask have bit b set while bank b's read / write queue
+	// is non-empty, so arbitration visits only banks with work.
+	rqMask, wqMask uint64
+	// plans[b] is bank b's candidate as last planned by bestCandidate,
+	// reused by prepAhead until a prep moves the activate window.
+	plans []sched
+
 	busUsed   bool
 	busWrite  bool
 	busFreeAt sim.Cycle
@@ -150,7 +159,7 @@ type channelState struct {
 
 type bankState struct {
 	openRow int64
-	rq, wq  []*Request // per-bank read and write queues
+	rq, wq  []qent // per-bank read and write queues, oldest first
 
 	actReadyAt sim.Cycle // earliest next ACT (tRC, tRP after PRE, refresh)
 	casReadyAt sim.Cycle // earliest CAS to the open row (ACT + tRCD)
@@ -161,6 +170,14 @@ type bankState struct {
 	// first column command to the row counts that class instead of a
 	// row hit. prepNone when no prep is outstanding.
 	prepClass uint8
+}
+
+// qent is one queued request with the fields arbitration reads kept
+// inline, so scanning a queue never dereferences a *Request.
+type qent struct {
+	req *Request
+	row int64
+	seq uint64
 }
 
 // Access classes a prep-ahead observed; counted when the column
@@ -204,7 +221,10 @@ func NewController(eng *sim.Engine, cfg Config) *Controller {
 	c.t.burst = sim.Cycle(cfg.BurstCPUCycles(64))
 	c.drainHigh, c.drainLow = cfg.writeThresholds()
 	for i := 0; i < cfg.Channels; i++ {
-		ch := &channelState{banks: make([]bankState, cfg.BanksPerChan)}
+		ch := &channelState{
+			banks: make([]bankState, cfg.BanksPerChan),
+			plans: make([]sched, cfg.BanksPerChan),
+		}
 		for b := range ch.banks {
 			ch.banks[b].openRow = -1
 		}
@@ -239,11 +259,14 @@ func (c *Controller) Submit(req *Request) {
 	req.loc = c.dec.decode(req.Addr)
 	ch := c.chns[req.loc.Channel]
 	b := &ch.banks[req.loc.Bank]
+	q := qent{req: req, row: req.loc.Row, seq: req.seq}
 	if req.Write {
-		b.wq = append(b.wq, req)
+		b.wq = append(b.wq, q)
+		ch.wqMask |= 1 << req.loc.Bank
 		ch.nWrites++
 	} else {
-		b.rq = append(b.rq, req)
+		b.rq = append(b.rq, q)
+		ch.rqMask |= 1 << req.loc.Bank
 		ch.nReads++
 	}
 	c.pump(req.loc.Channel)
@@ -264,7 +287,7 @@ func (c *Controller) pump(chIdx int) {
 // its precharge / activate / column command would issue, the first of
 // which is the commit time.
 type sched struct {
-	req     *Request
+	qent
 	bank    int
 	write   bool
 	rowHit  bool
@@ -330,50 +353,54 @@ func (c *Controller) bestCandidate(ch *channelState, now sim.Cycle) (sched, bool
 	}
 	serveWrites := ch.nWrites > 0 && (ch.draining || ch.nReads == 0)
 
-	var best sched
-	found := false
-	for bi := range ch.banks {
-		pick := bankPick(&ch.banks[bi], serveWrites)
-		if pick == nil {
-			continue
-		}
-		s := c.plan(ch, bi, pick, now)
+	var best *sched
+	// Visiting order is irrelevant: (cas, rowHit, seq) is a total order.
+	for m := ch.queued(serveWrites); m != 0; m &= m - 1 {
+		bi := bits.TrailingZeros64(m)
+		s := &ch.plans[bi]
+		*s = c.plan(ch, bi, bankPick(&ch.banks[bi], serveWrites), serveWrites, now)
 		// Arbitrate on the column-command (data-slot) time, not the
 		// first command: under bus contention every candidate's CAS
 		// collapses to the next free bus slot, and the row-hit
 		// tie-break then implements FR-FCFS — a row conflict whose
 		// precharge could start earlier must not reserve the bus ahead
 		// of a ready row hit.
-		if !found || s.cas < best.cas ||
+		if best == nil || s.cas < best.cas ||
 			(s.cas == best.cas && s.rowHit && !best.rowHit) ||
-			(s.cas == best.cas && s.rowHit == best.rowHit && s.req.seq < best.req.seq) {
+			(s.cas == best.cas && s.rowHit == best.rowHit && s.seq < best.seq) {
 			best = s
-			found = true
 		}
 	}
-	return best, serveWrites, found
+	if best == nil {
+		return sched{}, serveWrites, false
+	}
+	return *best, serveWrites, true
 }
 
-// bankPick returns a bank's FR-FCFS candidate from the served queue:
-// the oldest row hit, else the oldest request; nil with an empty
-// queue.
-func bankPick(b *bankState, serveWrites bool) *Request {
+// queued returns the mask of banks whose served queue is non-empty.
+func (ch *channelState) queued(serveWrites bool) uint64 {
+	if serveWrites {
+		return ch.wqMask
+	}
+	return ch.rqMask
+}
+
+// bankPick returns a bank's FR-FCFS candidate from the served queue,
+// which must be non-empty: the oldest row hit, else the oldest
+// request.
+func bankPick(b *bankState, serveWrites bool) qent {
 	q := b.rq
 	if serveWrites {
 		q = b.wq
 	}
-	if len(q) == 0 {
-		return nil
-	}
-	pick := q[0]
-	if b.openRow >= 0 && pick.loc.Row != b.openRow {
-		for _, r := range q[1:] {
-			if r.loc.Row == b.openRow {
-				return r
+	if b.openRow >= 0 && q[0].row != b.openRow {
+		for _, e := range q[1:] {
+			if e.row == b.openRow {
+				return e
 			}
 		}
 	}
-	return pick
+	return q[0]
 }
 
 // prepAhead pipelines row preparation under the arbitration winner's
@@ -382,18 +409,20 @@ func bankPick(b *bankState, serveWrites bool) *Request {
 // open (and the access class counted) by the time its column command
 // wins the bus. Without this, one bank's bus wait would idle every
 // other bank's row preparation. Reports whether anything was prepped.
+//
+// It runs right after bestCandidate at the same cycle, so the plans
+// bestCandidate left stand until the first prep commits; from then on
+// each bank is re-planned, because the prep moved the activate window.
+// Banks are prepped in ascending order, as each prep constrains the
+// next.
 func (c *Controller) prepAhead(chIdx int, ch *channelState, now sim.Cycle, serveWrites bool, skipBank int) bool {
 	prepped := false
-	for bi := range ch.banks {
-		if bi == skipBank {
-			continue
+	for m := ch.queued(serveWrites) &^ (1 << skipBank); m != 0; m &= m - 1 {
+		bi := bits.TrailingZeros64(m)
+		s := ch.plans[bi]
+		if prepped {
+			s = c.plan(ch, bi, s.qent, serveWrites, now)
 		}
-		b := &ch.banks[bi]
-		pick := bankPick(b, serveWrites)
-		if pick == nil {
-			continue
-		}
-		s := c.plan(ch, bi, pick, now)
 		if !s.needAct || s.start > now {
 			continue
 		}
@@ -404,7 +433,8 @@ func (c *Controller) prepAhead(chIdx int, ch *channelState, now sim.Cycle, serve
 		if s.needPre {
 			cls = prepConflict
 		}
-		c.openRowFor(chIdx, bi, ch, b, s, pick.loc.Row)
+		b := &ch.banks[bi]
+		c.openRowFor(chIdx, bi, ch, b, s, s.row)
 		b.prepClass = cls
 		prepped = true
 	}
@@ -435,16 +465,16 @@ func (c *Controller) openRowFor(chIdx, bankIdx int, ch *channelState, b *bankSta
 // bus slot (plus the read<->write turnaround when the transfer
 // direction flips), which also paces row-hit streams at bus rate so a
 // due refresh can interpose.
-func (c *Controller) plan(ch *channelState, bankIdx int, req *Request, now sim.Cycle) sched {
+func (c *Controller) plan(ch *channelState, bankIdx int, q qent, write bool, now sim.Cycle) sched {
 	b := &ch.banks[bankIdx]
-	s := sched{req: req, bank: bankIdx, write: req.Write}
+	s := sched{qent: q, bank: bankIdx, write: write}
 	// Earliest CAS whose data slot clears the bus. tWTR spaces the
 	// read *command* from the end of write data (JEDEC semantics);
 	// tRTW is the bus gap before write data follows read data.
 	casMin := sim.Cycle(0)
 	busAvail := ch.busFreeAt
-	if ch.busUsed && ch.busWrite != req.Write {
-		if req.Write {
+	if ch.busUsed && ch.busWrite != write {
+		if write {
 			busAvail += c.t.rtw
 		} else {
 			casMin = ch.busFreeAt + c.t.wtr
@@ -454,7 +484,7 @@ func (c *Controller) plan(ch *channelState, bankIdx int, req *Request, now sim.C
 		casMin = max(casMin, busAvail-c.t.cas)
 	}
 	switch {
-	case b.openRow == req.loc.Row:
+	case b.openRow == q.row:
 		s.rowHit = true
 		s.cas = max(max(now, b.casReadyAt), casMin)
 		s.start = s.cas
@@ -497,10 +527,14 @@ func (c *Controller) commit(chIdx int, ch *channelState, s sched) {
 	req := s.req
 	b := &ch.banks[s.bank]
 	if s.write {
-		b.wq = removeReq(b.wq, req)
+		if b.wq = removeReq(b.wq, req); len(b.wq) == 0 {
+			ch.wqMask &^= 1 << s.bank
+		}
 		ch.nWrites--
 	} else {
-		b.rq = removeReq(b.rq, req)
+		if b.rq = removeReq(b.rq, req); len(b.rq) == 0 {
+			ch.rqMask &^= 1 << s.bank
+		}
 		ch.nReads--
 	}
 
@@ -640,11 +674,11 @@ func (c *Controller) emit(cmd Cmd) {
 // removeReq removes one request (by identity) from a queue, keeping
 // order. The request is always present; queues are MLP-bounded and
 // short, so the linear scan is cheaper than bookkeeping indices.
-func removeReq(q []*Request, req *Request) []*Request {
-	for i, r := range q {
-		if r == req {
+func removeReq(q []qent, req *Request) []qent {
+	for i, e := range q {
+		if e.req == req {
 			copy(q[i:], q[i+1:])
-			q[len(q)-1] = nil
+			q[len(q)-1] = qent{}
 			return q[:len(q)-1]
 		}
 	}

@@ -23,20 +23,22 @@ func TestConfigValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := good
-	bad.RowBytes = 1000 // not a power of two
-	if bad.Validate() == nil {
-		t.Fatal("non-power-of-two row accepted")
-	}
-	bad = good
-	bad.Channels = 0
-	if bad.Validate() == nil {
-		t.Fatal("zero channels accepted")
-	}
-	bad = good
-	bad.InterleaveBytes = 96
-	if bad.Validate() == nil {
-		t.Fatal("non-power-of-two interleave accepted")
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+		ok     bool
+	}{
+		{"non-power-of-two row", func(c *Config) { c.RowBytes = 1000 }, false},
+		{"zero channels", func(c *Config) { c.Channels = 0 }, false},
+		{"non-power-of-two interleave", func(c *Config) { c.InterleaveBytes = 96 }, false},
+		{"64 banks per channel", func(c *Config) { c.BanksPerChan = 64 }, true},
+		{"65 banks per channel", func(c *Config) { c.BanksPerChan = 65 }, false},
+	} {
+		cfg := good
+		tc.mutate(&cfg)
+		if err := cfg.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		}
 	}
 }
 

@@ -130,6 +130,11 @@ func (c Config) Validate() error {
 	if c.Channels <= 0 || c.BanksPerChan <= 0 {
 		return fmt.Errorf("dram %s: need positive channels/banks, got %d/%d", c.Name, c.Channels, c.BanksPerChan)
 	}
+	if c.BanksPerChan > 64 {
+		// The controller tracks each channel's non-empty bank queues
+		// in a uint64 bitmask.
+		return fmt.Errorf("dram %s: %d banks per channel exceeds the limit of 64", c.Name, c.BanksPerChan)
+	}
 	if c.RowBytes <= 0 || c.RowBytes&(c.RowBytes-1) != 0 {
 		return fmt.Errorf("dram %s: row size %d must be a power of two", c.Name, c.RowBytes)
 	}

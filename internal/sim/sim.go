@@ -1,16 +1,30 @@
 // Package sim provides the discrete-event simulation kernel used by
-// the timing model: a monotonic cycle clock and a typed binary-heap
-// event queue with deterministic tie-breaking.
+// the timing model: a monotonic cycle clock and an event queue with
+// deterministic tie-breaking.
 //
 // Components schedule callbacks at absolute cycle times; the engine
 // runs them in (time, insertion-order) order, so simulations are fully
 // deterministic for a given seed and configuration.
 //
-// The queue is a binary min-heap over a slice of entry values, each
-// storing its (cycle, seq) key inline next to the event it orders, so
-// sifting compares keys without dereferencing an event or boxing
-// through container/heap's interface. (A 4-ary layout was measured
-// against it on the timing pipeline and ran 2-4% slower.)
+// The queue has two tiers. Almost every event lands less than
+// wheelSize cycles ahead (controller wakeups, data completions, core
+// issue slots), and those go into a timing wheel: one FIFO bucket per
+// cycle, threaded through event.next, with an occupancy bitmap so the
+// next non-empty bucket is a TrailingZeros64 away. A bucket only ever
+// holds one cycle's events, because every wheel event lies in [now,
+// now+wheelSize) and now never passes a pending event. Events further
+// ahead go into the overflow tier, a binary min-heap over a slice of
+// entry values, each storing its (cycle, seq) key inline next to the
+// event it orders, so sifting compares keys without dereferencing an
+// event or boxing through container/heap's interface.
+//
+// The two tiers need no migration step to keep the exact (cycle, seq)
+// order. Sequence numbers only grow and now never goes back, so a heap
+// event at cycle T, scheduled while T-now >= wheelSize, was scheduled
+// before every wheel event at T, scheduled while T-now < wheelSize.
+// Hence when the heap's top cycle is <= the wheel's next cycle, the
+// heap top fires first; otherwise the wheel's next bucket does, in
+// FIFO (= seq) order.
 //
 // Fired and cancelled events are recycled through a free list, so a
 // steady-state simulation churns no *event allocations: the live
@@ -19,16 +33,30 @@
 // so cancelling an already-recycled event is a safe no-op.
 package sim
 
+import "math/bits"
+
 // Cycle is a point in simulated time, measured in CPU clock cycles.
 type Cycle uint64
 
-// event is a scheduled callback. Its ordering key lives in the heap
-// entry; seq is kept here only so a Ticket can tell whether it still
-// names this incarnation of the pooled object.
+// wheelSize is the timing wheel's span in cycles: events scheduled
+// fewer cycles ahead go into the wheel, the rest into the overflow
+// heap. In the timing pipeline over 99.9% of events land under 1024
+// cycles ahead.
+const (
+	wheelSize  = 2048
+	wheelMask  = wheelSize - 1
+	wheelWords = wheelSize / 64
+)
+
+// event is a scheduled callback. A heap event's ordering key lives in
+// its heap entry and a wheel event's in its bucket; seq is kept here
+// only so a Ticket can tell whether it still names this incarnation of
+// the pooled object. next links a wheel bucket's FIFO.
 type event struct {
 	fn   func()
 	seq  uint64
 	dead bool
+	next *event
 }
 
 // entry is one heap slot: the (at, seq) key inline, plus its event.
@@ -43,11 +71,23 @@ func (a entry) before(b entry) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
+// bucket is one wheel slot's FIFO of events, all at the same cycle.
+type bucket struct {
+	head, tail *event
+}
+
 // Engine is the event-driven simulation core. The zero value is ready
 // to use at cycle 0.
 type Engine struct {
-	now   Cycle
-	seq   uint64
+	now Cycle
+	seq uint64
+	// wheel holds events less than wheelSize cycles ahead, bucket
+	// at&wheelMask; occ has bit i set when wheel[i] is non-empty, and
+	// inWheel counts the wheel's events.
+	wheel   [wheelSize]bucket
+	occ     [wheelWords]uint64
+	inWheel int
+	// queue is the overflow heap for events further ahead.
 	queue []entry
 	free  []*event
 	// Executed counts events run, for progress reporting and
@@ -139,7 +179,20 @@ func (e *Engine) Schedule(at Cycle, fn func()) Ticket {
 	seq := e.seq
 	e.seq++
 	ev.fn, ev.seq, ev.dead = fn, seq, false
-	e.push(entry{at: at, seq: seq, ev: ev})
+	if at-e.now < wheelSize {
+		i := at & wheelMask
+		b := &e.wheel[i]
+		if b.tail == nil {
+			b.head = ev
+			e.occ[i>>6] |= 1 << (i & 63)
+		} else {
+			b.tail.next = ev
+		}
+		b.tail = ev
+		e.inWheel++
+	} else {
+		e.push(entry{at: at, seq: seq, ev: ev})
+	}
 	return Ticket{ev: ev, seq: seq}
 }
 
@@ -161,25 +214,88 @@ func (e *Engine) Cancel(t Ticket) bool {
 
 // Pending returns the number of events still queued (including
 // cancelled events not yet drained).
-func (e *Engine) Pending() int { return len(e.queue) }
+func (e *Engine) Pending() int { return e.inWheel + len(e.queue) }
+
+// wheelNext returns the cycle of the wheel's earliest non-empty
+// bucket; the wheel must be non-empty. Buckets are scanned from now's
+// slot onwards, wrapping, so the first set bit is the earliest cycle.
+func (e *Engine) wheelNext() Cycle {
+	s := uint(e.now & wheelMask)
+	w := s >> 6
+	if m := e.occ[w] >> (s & 63); m != 0 {
+		return e.now + Cycle(bits.TrailingZeros64(m))
+	}
+	// The last pass revisits word w whole: its bits below s are the
+	// wrapped-around cycles furthest ahead.
+	for i := uint(1); i <= wheelWords; i++ {
+		wi := (w + i) % wheelWords
+		if m := e.occ[wi]; m != 0 {
+			slot := wi<<6 + uint(bits.TrailingZeros64(m))
+			return e.now + Cycle((slot-s)&wheelMask)
+		}
+	}
+	panic("sim: wheel count out of step with its occupancy bitmap")
+}
+
+// next removes and returns the earliest queued event and its cycle,
+// provided that cycle is <= limit; ok is false when nothing queued is
+// due by then. On equal cycles the heap top goes first: see the
+// package comment.
+func (e *Engine) next(limit Cycle) (ev *event, at Cycle, ok bool) {
+	heap := len(e.queue) > 0
+	if e.inWheel > 0 {
+		at = e.wheelNext()
+		heap = heap && e.queue[0].at <= at
+	} else if !heap {
+		return nil, 0, false
+	}
+	if heap {
+		if at = e.queue[0].at; at > limit {
+			return nil, 0, false
+		}
+		return e.pop().ev, at, true
+	}
+	if at > limit {
+		return nil, 0, false
+	}
+	i := at & wheelMask
+	b := &e.wheel[i]
+	ev = b.head
+	if b.head = ev.next; b.head == nil {
+		b.tail = nil
+		e.occ[i>>6] &^= 1 << (i & 63)
+	}
+	ev.next = nil
+	e.inWheel--
+	return ev, at, true
+}
 
 // Step executes the next event. It reports false if the queue is
 // empty.
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		x := e.pop()
-		if x.ev.dead {
-			e.recycle(x.ev)
+	return e.stepUntil(^Cycle(0))
+}
+
+// stepUntil executes the next event if it is due by deadline,
+// draining cancelled events ahead of it, and reports whether one ran.
+// A cancelled event first never lets a live one past the deadline run.
+func (e *Engine) stepUntil(deadline Cycle) bool {
+	for {
+		ev, at, ok := e.next(deadline)
+		if !ok {
+			return false
+		}
+		if ev.dead {
+			e.recycle(ev)
 			continue
 		}
-		e.now = x.at
+		e.now = at
 		e.Executed++
-		fn := x.ev.fn
-		e.recycle(x.ev)
+		fn := ev.fn
+		e.recycle(ev)
 		fn()
 		return true
 	}
-	return false
 }
 
 // Run executes events until the queue drains or until the optional
@@ -198,16 +314,7 @@ func (e *Engine) Run(stop func() bool) Cycle {
 
 // RunUntil executes events with timestamps <= deadline.
 func (e *Engine) RunUntil(deadline Cycle) Cycle {
-	for len(e.queue) > 0 {
-		next := e.queue[0]
-		if next.ev.dead {
-			e.recycle(e.pop().ev)
-			continue
-		}
-		if next.at > deadline {
-			break
-		}
-		e.Step()
+	for e.stepUntil(deadline) {
 	}
 	if e.now < deadline {
 		e.now = deadline

@@ -140,6 +140,34 @@ func TestRunUntilExecutesDeadlineInclusive(t *testing.T) {
 	}
 }
 
+// TestRunUntilSkipsCancelledWithoutOverrunning pins RunUntil's
+// contract when a cancelled event comes first: it drains the dead
+// event but must not run the live one queued past the deadline, from
+// either queue tier.
+func TestRunUntilSkipsCancelledWithoutOverrunning(t *testing.T) {
+	for _, after := range []Cycle{11, wheelSize + 50} {
+		var e Engine
+		fired := false
+		e.Cancel(e.Schedule(5, func() {}))
+		e.Cancel(e.Schedule(10, func() {}))
+		e.Schedule(after, func() { fired = true })
+		e.RunUntil(10)
+		if fired {
+			t.Fatalf("RunUntil(10) ran the live event at %d", after)
+		}
+		if e.Now() != 10 {
+			t.Fatalf("RunUntil(10) left clock at %d", e.Now())
+		}
+		if e.Pending() != 1 {
+			t.Fatalf("pending = %d, want only the live event", e.Pending())
+		}
+		e.RunUntil(after)
+		if !fired || e.Now() != after {
+			t.Fatalf("RunUntil(%d): fired %v, clock %d", after, fired, e.Now())
+		}
+	}
+}
+
 func TestRunUntilAdvancesIdleClock(t *testing.T) {
 	var e Engine
 	e.RunUntil(99)
@@ -235,7 +263,9 @@ func TestSteadyStateSchedulingDoesNotAllocate(t *testing.T) {
 
 // Property: under random Schedule/After/Cancel traffic — including
 // calls made from inside firing events, schedules into the past, dense
-// same-cycle ties, and cancellations through stale tickets whose event
+// same-cycle ties, events at and beyond the timing wheel's span,
+// same-cycle ties between an overflow-heap event and a later wheel
+// event, and cancellations through stale tickets whose event
 // objects have since been recycled — events fire in exactly (cycle,
 // schedule order), each at its cycle, every uncancelled event fires
 // once, and Cancel reports liveness exactly.
@@ -284,15 +314,34 @@ func TestPropertyEventOrdering(t *testing.T) {
 				}
 			}
 			now := e.Now()
-			switch rng.Intn(3) {
+			switch rng.Intn(6) {
 			case 0:
 				d := Cycle(rng.Intn(4))
 				s.at, s.tk = now+d, e.After(d, fn)
 			case 1:
 				at := Cycle(rng.Intn(int(now) + 4))
 				s.at, s.tk = max(at, now), e.Schedule(at, fn)
-			default:
+			case 2:
 				s.at = now + Cycle(rng.Intn(500))
+				s.tk = e.Schedule(s.at, fn)
+			case 3:
+				// Around the wheel's edge: the last wheel cycle, the
+				// first overflow cycle, and just past it.
+				s.at = now + wheelSize - 1 + Cycle(rng.Intn(3))
+				s.tk = e.Schedule(s.at, fn)
+			case 4:
+				// Well beyond the wheel span, into the overflow heap.
+				s.at = now + wheelSize + Cycle(rng.Intn(3*wheelSize))
+				s.tk = e.Schedule(s.at, fn)
+			default:
+				// A same-cycle tie between the tiers: reuse the cycle
+				// of an earlier schedule, which may sit in the heap
+				// while this one, now closer, lands in the wheel.
+				if len(all) == 0 {
+					s.at = now
+				} else {
+					s.at = max(all[rng.Intn(len(all))].at, now)
+				}
 				s.tk = e.Schedule(s.at, fn)
 			}
 			all = append(all, s)
