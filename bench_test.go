@@ -278,7 +278,10 @@ func BenchmarkEventEngine(b *testing.B) {
 }
 
 // BenchmarkFunctionalPipeline measures the end-to-end functional
-// simulation rate (generator -> footprint cache -> DRAM trackers).
+// simulation rate (generator -> footprint cache -> DRAM trackers), one
+// reference per iteration. allocs/op amortizes the run's fixed set-up
+// over b.N; the steady-state cost per reference is zero
+// (TestFunctionalZeroAllocs).
 func BenchmarkFunctionalPipeline(b *testing.B) {
 	d, err := NewDesign(Config{Workload: WebSearch, Design: Footprint, PaperCapacityMB: 64, Scale: 1.0 / 64})
 	if err != nil {
@@ -288,8 +291,12 @@ func BenchmarkFunctionalPipeline(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
-	system.RunFunctional(d, src, 0, b.N)
+	if _, err := system.RunFunctional(d, src, 0, b.N); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "refs/s")
 }
 
 // BenchmarkTimingPipeline measures the end-to-end timing simulation

@@ -271,6 +271,19 @@ func (opt *IntervalOptions) newState() (*SimState, error) {
 	return s, nil
 }
 
+// timeInterval times interval iv of section sec from s, the state at
+// the interval's first record (restored exactly, or pre-rolled when
+// sampling); w is the warmup boundary. The state's own policy
+// instance continues the epoch schedule at the interval's measured
+// position: for the adaptive controller it carries the window and
+// climb registers s holds at this boundary.
+func (opt *IntervalOptions) timeInterval(s *SimState, sec memtrace.Source, iv Interval, w uint64) (TimingResult, error) {
+	cfg := *opt.Timing
+	cfg.WarmupRefs, cfg.MaxRefs = 0, int(iv.Refs)
+	cfg.Resize, cfg.ResizeStartRefs = s.Policy(), iv.Start-w
+	return RunTiming(s.Design(), sec, cfg)
+}
+
 // advance replays records [from, to) through s exactly as the serial
 // run would see them: records before the warmup boundary w replay
 // without the policy, later ones hit policy epochs at serial
@@ -468,15 +481,7 @@ func runExact(tr *memtrace.FileReader, opt *IntervalOptions, traceID string, ivs
 		if err != nil {
 			return TimingResult{}, err
 		}
-		cfg := *opt.Timing
-		cfg.WarmupRefs = 0
-		cfg.MaxRefs = int(iv.Refs)
-		// The restored state's policy instance: for the adaptive
-		// controller it carries the window and climb registers the
-		// snapshot captured at this boundary.
-		cfg.Resize = s.Policy()
-		cfg.ResizeStartRefs = iv.Start - w
-		return RunTiming(s.Design(), sec, cfg)
+		return opt.timeInterval(s, sec, iv, w)
 	})
 	if err := firstFailure(reports); err != nil {
 		return nil, err
@@ -541,12 +546,7 @@ func runSampled(tr *memtrace.FileReader, opt *IntervalOptions, traceID string, i
 			return sampleOut{}, err
 		}
 		if timing {
-			cfg := *opt.Timing
-			cfg.WarmupRefs = 0
-			cfg.MaxRefs = int(iv.Refs)
-			cfg.Resize = s.Policy()
-			cfg.ResizeStartRefs = iv.Start - w
-			tm, err := RunTiming(s.Design(), sec, cfg)
+			tm, err := opt.timeInterval(s, sec, iv, w)
 			return sampleOut{tm: tm}, err
 		}
 		fn, err := s.MeasureFrom(sec, int(iv.Refs), iv.Start-w)

@@ -21,9 +21,10 @@ import (
 // byte-identically to an uninterrupted run by construction.
 //
 // A timing run shares the same warm state: RunTiming's functional
-// warmup performs exactly the Access sequence Warm does (the trackers
-// Warm additionally touches are not consulted by the timing
-// simulator), so one snapshot serves both simulation modes.
+// warmup steps the same stepper Warm does, so its Access sequence is
+// Warm's by construction (the trackers Warm additionally touches are
+// not consulted by the timing simulator), and one snapshot serves both
+// simulation modes.
 type SimState struct {
 	design dcache.Design
 	offT   *dram.Tracker
@@ -81,51 +82,23 @@ func (s *SimState) SetPolicy(pol ResizePolicy) { s.pol = pol }
 // Policy returns the installed resize policy (nil when none).
 func (s *SimState) Policy() ResizePolicy { return s.pol }
 
-// run drives up to n records (n <= 0 drains the source) through the
-// design, applying outcome operations to the trackers; with a non-nil
-// rz, the resize policy decides at measured-reference epoch
-// boundaries. Returns the instruction count, and a typed error
-// (fault.ErrInvalidOps) if the design emitted a structurally invalid
-// op list — the run stops at the offending reference so one bad
-// composition fails one sweep point, never the process.
-// startRefs offsets the epoch schedule: an interval run resuming at
-// measured reference startRefs hits the same absolute boundaries (and
-// a restored stateful policy continues from its snapshotted baseline)
-// as a serial run that is startRefs references in — the
-// interval-parallel runner's determinism depends on it.
-func (s *SimState) run(src memtrace.Source, n int, pol ResizePolicy, rz Resizable, startRefs uint64) (uint64, error) {
-	var refs, instrs uint64
-	var period uint64
-	var part func() dcache.PartitionStats
-	if rz != nil {
-		period = uint64(policyPeriod(pol))
-		part = partitionExtra(s.design)
-	}
-	for {
-		if n > 0 && refs >= uint64(n) {
-			break
-		}
-		rec, ok := src.Next()
-		if !ok {
-			break
-		}
-		refs++
-		instrs += uint64(rec.Gap) + 1
-		out := s.design.Access(rec, s.ops)
-		applyOps(out.Ops, s.offT, s.stkT)
-		s.ops = out.Ops
-		if period > 0 && (startRefs+refs)%period == 0 {
-			epoch := int((startRefs+refs)/period - 1)
-			if frac, fire := pol.Decide(epoch, telemetryOf(s.design, part, startRefs+refs)); fire {
-				s.ops = rz.Resize(frac, s.ops[:0])
-				if err := validateOps(s.design, s.ops, "resize transition"); err != nil {
-					return instrs, err
-				}
-				applyOps(s.ops, s.offT, s.stkT)
-			}
+// run steps up to n records (n <= 0 drains the source) through the
+// design, replaying each outcome's ops and then any resize
+// transition's ops into the trackers. pol and startRefs set the
+// stepper's epoch schedule. Returns the instruction count, and a typed
+// error (fault.ErrInvalidOps) if the design emitted a structurally
+// invalid op list — the run stops at the offending reference so one
+// bad composition fails one sweep point, never the process.
+func (s *SimState) run(src memtrace.Source, n int, pol ResizePolicy, startRefs uint64) (uint64, error) {
+	st := newStepper(s.design, src, n, pol, startRefs, s.ops)
+	for st.next() {
+		applyOps(st.out.Ops, s.offT, s.stkT)
+		if st.resized {
+			applyOps(st.trans, s.offT, s.stkT)
 		}
 	}
-	return instrs, nil
+	s.ops = st.out.Ops
+	return st.instrs, st.err
 }
 
 // Warm replays n records through the design and trackers without
@@ -135,7 +108,7 @@ func (s *SimState) Warm(src memtrace.Source, n int) error {
 	if n <= 0 {
 		return nil
 	}
-	_, err := s.run(src, n, nil, nil, 0)
+	_, err := s.run(src, n, nil, 0)
 	return err
 }
 
@@ -157,11 +130,6 @@ func (s *SimState) Measure(src memtrace.Source, maxRefs int) (FunctionalResult, 
 // absolute boundaries — and a restored stateful policy makes the same
 // decisions — as the serial run it is a slice of.
 func (s *SimState) MeasureFrom(src memtrace.Source, maxRefs int, measuredBefore uint64) (FunctionalResult, error) {
-	pol := s.pol
-	rz, _ := s.design.(Resizable)
-	if policyPeriod(pol) <= 0 || rz == nil {
-		pol, rz = nil, nil
-	}
 	ctr0 := s.design.Counters()
 	off0, stk0 := s.offT.Stats, s.stkT.Stats
 	extra := footprintExtra(s.design)
@@ -176,7 +144,7 @@ func (s *SimState) MeasureFrom(src memtrace.Source, maxRefs int, measuredBefore 
 	}
 
 	res := FunctionalResult{Design: s.design.Name()}
-	instrs, err := s.run(src, maxRefs, pol, rz, measuredBefore)
+	instrs, err := s.run(src, maxRefs, s.pol, measuredBefore)
 	res.Instructions = instrs
 	res.Counters = s.design.Counters().Sub(ctr0)
 	res.Refs = res.Counters.Accesses()
@@ -297,20 +265,4 @@ func (s *SimState) Restore(r io.Reader, want SnapshotMeta) error {
 		}
 		return sr.Err()
 	})
-}
-
-// validateOps rejects a structurally invalid operation list — a
-// malformed outcome DAG would otherwise deadlock the timing
-// simulator's dispatch (see inflight.dispatch) and silently strand
-// pooled in-flight records. A design emitting one is a programming
-// error, but on a server-scale sweep it must fail its one point, not
-// the process: the error wraps fault.ErrInvalidOps so the sweep layer
-// classifies and reports it. (Tests that want the old fail-loudly
-// behavior panic in their own helpers.)
-func validateOps(design dcache.Design, ops []dcache.Op, what string) error {
-	if err := dcache.ValidateOps(ops); err != nil {
-		return fmt.Errorf("system: design %q emitted an invalid %s op list (%v): %w",
-			design.Name(), what, err, fault.ErrInvalidOps)
-	}
-	return nil
 }

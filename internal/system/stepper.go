@@ -1,0 +1,118 @@
+package system
+
+import (
+	"fmt"
+	"math"
+
+	"fpcache/internal/dcache"
+	"fpcache/internal/fault"
+	"fpcache/internal/memtrace"
+)
+
+// stepper is the one reference loop every runner drives: functional
+// warm and measure (SimState.run), timing warmup, and the timing
+// demux. A step runs the design's Access on the next record,
+// validates the first validateOutcomes outcomes, and at every
+// measured-epoch boundary lets the policy decide, resizes, and
+// validates the transition. Callers differ only in where the ops go,
+// so every mode steps the same sequence by construction.
+type stepper struct {
+	src    memtrace.Source
+	design dcache.Design
+	// left is the record budget (math.MaxUint64 drains the source);
+	// pos the absolute measured position, start offset included.
+	left, pos uint64
+	instrs    uint64
+	validated int
+
+	// The resize driver; rz is nil when resizing is off.
+	pol    ResizePolicy
+	rz     Resizable
+	period uint64
+	part   func() dcache.PartitionStats
+
+	// The last step's record and outcome, whose ops are the Access
+	// scratch. When resized, trans holds the transition ops in a buffer
+	// of their own: callers consume the outcome, then the transition.
+	rec     memtrace.Record
+	out     dcache.Outcome
+	resized bool
+	trans   []dcache.Op
+
+	// err is the first validation failure; the stepper stops once set.
+	err error
+}
+
+// newStepper steps up to n records of src (n <= 0 drains it) through
+// design with Access scratch ops. startRefs is the measured position
+// the run resumes at, so an interval hits the same absolute epoch
+// boundaries as the serial run it is a slice of. Resizing is on only
+// for a Resizable design under an enabled policy.
+func newStepper(design dcache.Design, src memtrace.Source, n int, pol ResizePolicy, startRefs uint64, ops []dcache.Op) stepper {
+	s := stepper{src: src, design: design, left: math.MaxUint64, pos: startRefs, out: dcache.Outcome{Ops: ops}}
+	if n > 0 {
+		s.left = uint64(n)
+	}
+	if rz, ok := design.(Resizable); ok && policyPeriod(pol) > 0 {
+		s.pol, s.rz, s.period = pol, rz, uint64(pol.Period())
+		s.part = partitionExtra(design)
+	}
+	return s
+}
+
+// next steps one record and reports whether it did: false once the
+// budget or the source is spent, or on an invalid outcome (err). A
+// transition that fails validation sets err and is dropped; its
+// boundary reference is still returned, and the stepper stops after it.
+func (s *stepper) next() bool {
+	if s.left == 0 || s.err != nil {
+		return false
+	}
+	rec, ok := s.src.Next()
+	if !ok {
+		s.left = 0
+		return false
+	}
+	s.left--
+	s.pos++
+	s.instrs += uint64(rec.Gap) + 1
+	s.rec = rec
+	s.out = s.design.Access(rec, s.out.Ops)
+	if s.validated < validateOutcomes {
+		s.validated++
+		if s.err = validateOps(s.design, s.out.Ops, "outcome"); s.err != nil {
+			return false
+		}
+	}
+	s.resized = false
+	if s.rz != nil && s.pos%s.period == 0 {
+		if frac, fire := s.pol.Decide(int(s.pos/s.period-1), telemetryOf(s.design, s.part, s.pos)); fire {
+			s.trans = s.rz.Resize(frac, s.trans[:0])
+			s.err = validateOps(s.design, s.trans, "resize transition")
+			s.resized = s.err == nil
+		}
+	}
+	return true
+}
+
+// validateOutcomes is how many leading outcome DAGs every stepper
+// validates: miss, hit, evict, and bypass paths all appear within the
+// first few dozen references of every workload, and the steady-state
+// hot path pays nothing.
+const validateOutcomes = 64
+
+// validateOps rejects a structurally invalid operation list — a
+// malformed outcome DAG would otherwise deadlock the timing
+// simulator's dispatch (see inflight.dispatch) and silently strand
+// pooled in-flight records. A design emitting one is a programming
+// error, but on a server-scale sweep it must fail its one point, not
+// the process: the error wraps fault.ErrInvalidOps so the sweep layer
+// classifies and reports it. (Tests that want the old fail-loudly
+// behavior panic in their own helpers.)
+func validateOps(design dcache.Design, ops []dcache.Op, what string) error {
+	if err := dcache.ValidateOps(ops); err != nil {
+		return fmt.Errorf("system: design %q emitted an invalid %s op list (%v): %w",
+			design.Name(), what, err, fault.ErrInvalidOps)
+	}
+	return nil
+}

@@ -161,112 +161,42 @@ func (q *coreQueue) pop() (queuedRec, []dcache.Op, bool) {
 // proportional to the skew, never correctness. The queued/highWater
 // counters measure that cost per run (TimingResult.QueueHighWater).
 type demux struct {
-	src    memtrace.Source
-	design dcache.Design
+	st     stepper
 	queues []coreQueue
-	left   int
-	done   bool
 
 	// queued is the current total of buffered records across queues;
 	// highWater its run maximum.
 	queued    int
 	highWater int
-	// validated counts the outcome DAGs checked so far; the first
-	// validateOutcomes outcomes per run are verified structurally so a
-	// malformed design fails its run instead of deadlocking dispatch.
-	validated int
-	// err is the first validation failure; once set, the demux stops
-	// producing records and the run returns the error.
-	err error
 
-	// Partition resize driver: when pol and rz are set, every period
-	// drained references the policy decides from the design's
-	// cumulative telemetry — in trace order, exactly as
-	// RunFunctionalResized — and a firing decision's transition ops
-	// are handed to onResize for dispatch.
-	pol      ResizePolicy
-	period   uint64
-	part     func() dcache.PartitionStats
-	rz       Resizable
+	// onResize dispatches a resize transition's ops, which the stepper
+	// hands over at the boundary reference's drain.
 	onResize func(ops []dcache.Op)
-	drained  uint64
-	// startRefs offsets the resize schedule (TimingConfig.ResizeStartRefs).
-	startRefs uint64
-
-	// scratch is the Access buffer: every outcome is copied out of it
-	// into a core's arena before the next Access reuses it.
-	scratch []dcache.Op
-}
-
-func newDemux(src memtrace.Source, design dcache.Design, cores, maxRefs int, scratch []dcache.Op) *demux {
-	return &demux{
-		src:     src,
-		design:  design,
-		queues:  make([]coreQueue, cores),
-		left:    maxRefs,
-		scratch: scratch,
-	}
 }
 
 // pull returns the given core's next record with its precomputed
 // outcome; the ops alias the core's arena and stay valid until the
 // next pull.
 func (d *demux) pull(core int) (queuedRec, []dcache.Op, bool) {
-	for {
-		if d.err != nil {
-			return queuedRec{}, nil, false
-		}
+	for d.st.err == nil {
 		if r, ops, ok := d.queues[core].pop(); ok {
 			d.queued--
 			return r, ops, true
 		}
-		if d.done || d.left <= 0 {
-			return queuedRec{}, nil, false
+		if !d.st.next() {
+			break
 		}
-		rec, ok := d.src.Next()
-		if !ok {
-			d.done = true
-			continue
-		}
-		d.left--
-		res := d.design.Access(rec, d.scratch)
-		if d.validated < validateOutcomes {
-			d.validated++
-			if err := validateOps(d.design, res.Ops, "outcome"); err != nil {
-				d.err = err
-				d.done = true
-				return queuedRec{}, nil, false
-			}
-		}
-		d.scratch = res.Ops
-		d.queues[int(rec.Core)%len(d.queues)].push(rec, res.TagCycles, res.Ops)
+		rec := d.st.rec
+		d.queues[int(rec.Core)%len(d.queues)].push(rec, d.st.out.TagCycles, d.st.out.Ops)
 		if d.queued++; d.queued > d.highWater {
 			d.highWater = d.queued
 		}
-		d.drained++
-		if d.period > 0 && (d.startRefs+d.drained)%d.period == 0 {
-			epoch := int((d.startRefs+d.drained)/d.period - 1)
-			if frac, fire := d.pol.Decide(epoch, telemetryOf(d.design, d.part, d.startRefs+d.drained)); fire {
-				// The boundary reference's ops are already in its core's
-				// arena, so the resize can reuse scratch.
-				d.scratch = d.rz.Resize(frac, d.scratch[:0])
-				if err := validateOps(d.design, d.scratch, "resize transition"); err != nil {
-					d.err = err
-					d.done = true
-					return queuedRec{}, nil, false
-				}
-				d.onResize(d.scratch)
-			}
+		if d.st.resized {
+			d.onResize(d.st.trans)
 		}
 	}
+	return queuedRec{}, nil, false
 }
-
-// validateOutcomes is how many leading outcome DAGs a timing run
-// structurally validates: enough to catch a systematically malformed
-// design (miss, hit, evict, and bypass paths all appear within the
-// first few dozen references of every workload) without taxing the
-// steady-state hot path.
-const validateOutcomes = 64
 
 // RunTiming executes an event-driven simulation of the pod: cores
 // with bounded MLP issue records through the design into the two DRAM
@@ -304,15 +234,13 @@ func RunTiming(design dcache.Design, src memtrace.Source, cfg TimingConfig) (Tim
 	}
 
 	// Functional warmup: bring tags, MissMap, FHT, and ST to steady
-	// state before the first timed cycle. One scratch buffer serves
-	// every warmup Access.
-	var scratch []dcache.Op
-	for i := 0; i < cfg.WarmupRefs; i++ {
-		rec, ok := src.Next()
-		if !ok {
-			break
-		}
-		scratch = design.Access(rec, scratch).Ops
+	// state before the first timed cycle, discarding the ops. Its
+	// Access scratch carries over to the demux.
+	warm := newStepper(design, src, cfg.WarmupRefs, nil, 0, nil)
+	for cfg.WarmupRefs > 0 && warm.next() {
+	}
+	if warm.err != nil {
+		return TimingResult{Design: design.Name()}, warm.err
 	}
 	ctr0 := design.Counters()
 
@@ -327,18 +255,16 @@ func RunTiming(design dcache.Design, src memtrace.Source, cfg TimingConfig) (Tim
 			ReadLatency: stats.NewHistogram(stats.LatencyBounds()...),
 		},
 	}
-	dm := newDemux(src, design, cfg.Cores, cfg.MaxRefs, scratch)
-	if rz, ok := design.(Resizable); ok && policyPeriod(cfg.Resize) > 0 {
-		dm.pol, dm.period, dm.rz = cfg.Resize, uint64(cfg.Resize.Period()), rz
-		dm.part = partitionExtra(design)
-		dm.startRefs = cfg.ResizeStartRefs
+	dm := &demux{
+		st:     newStepper(design, src, cfg.MaxRefs, cfg.Resize, cfg.ResizeStartRefs, warm.out.Ops),
+		queues: make([]coreQueue, cfg.Cores),
 		// Resize traffic is pure background: nothing gates on it, and
 		// its record returns to the pool when the last op lands.
-		dm.onResize = func(ops []dcache.Op) {
+		onResize: func(ops []dcache.Op) {
 			fl := r.take(&r.freeResize, ops, 0)
 			fl.read, fl.done = false, noop
 			fl.dispatch()
-		}
+		},
 	}
 	part := partitionExtra(design)
 	var pt0 dcache.PartitionStats
@@ -385,7 +311,7 @@ func RunTiming(design dcache.Design, src memtrace.Source, cfg TimingConfig) (Tim
 		res.ReadLatencyP90 = res.ReadLatency.Percentile(0.90)
 		res.ReadLatencyP99 = res.ReadLatency.Percentile(0.99)
 	}
-	return res, dm.err
+	return res, dm.st.err
 }
 
 // timingRun is the memory-system side of one RunTiming: the engine,

@@ -55,12 +55,22 @@ func mustInvalidOps(t *testing.T, what string, err error) {
 	}
 }
 
-// TestTimingRejectsCyclicOutcome pins that RunTiming validates the
-// leading outcomes of every run and fails its run on a malformed DAG
-// instead of deadlocking a core.
-func TestTimingRejectsCyclicOutcome(t *testing.T) {
-	_, err := RunTiming(&badDesign{}, testutil.RandomTrace(1000, 5, 4), TimingConfig{Cores: 4, MLP: 2, MaxRefs: 1000})
-	mustInvalidOps(t, "cyclic outcome", err)
+// TestRunnersRejectCyclicOutcome pins the one validation rule every
+// runner inherits from the shared stepper: functional runs, warmup
+// alone, and timing runs with and without a warmup all validate their
+// leading outcomes and fail on a malformed DAG instead of deadlocking
+// a core or measuring garbage.
+func TestRunnersRejectCyclicOutcome(t *testing.T) {
+	trace := func() memtrace.Source { return testutil.RandomTrace(1000, 5, 4) }
+	_, err := RunFunctional(&badDesign{}, trace(), 0, 1000)
+	mustInvalidOps(t, "RunFunctional", err)
+	mustInvalidOps(t, "SimState.Warm", NewSimState(&badDesign{}).Warm(trace(), 500))
+	// The warmup consumes the whole trace, so only the warmup's own
+	// validation can catch the design.
+	_, err = RunTiming(&badDesign{}, trace(), TimingConfig{Cores: 4, MLP: 2, WarmupRefs: 1000})
+	mustInvalidOps(t, "RunTiming with warmup", err)
+	_, err = RunTiming(&badDesign{}, trace(), TimingConfig{Cores: 4, MLP: 2, MaxRefs: 1000})
+	mustInvalidOps(t, "RunTiming", err)
 }
 
 // TestRunnersRejectCyclicResizeOps pins the same validation for
