@@ -10,8 +10,8 @@
 //	fpbench -json out.json       # machine-readable rows + wall-clock
 //	fpbench -state-cache .warm   # warm each point once, restore thereafter
 //	fpbench -state-cache .warm -state-cache-max 1073741824
-//	fpbench -max-retries 2 -point-timeout 5m -tolerate
-//	fpbench -fault-spec 'point:transient:fails=1' -max-retries 2
+//	fpbench -point-timeout 5m -tolerate
+//	fpbench -state-cache .warm -fault-spec 'snapshot-read:flipbit:offset=3,bit=6'
 //
 // Simulation points fan out over a worker pool (internal/sweep);
 // results are gathered in declaration order, so output is
@@ -21,13 +21,13 @@
 // given file instead of rendering text tables — the seed of the
 // BENCH_*.json perf trajectory.
 //
-// The fault-tolerance flags (-max-retries, -point-timeout, -tolerate)
-// switch sweeps to the tolerant executor (DESIGN.md §10): point panics
-// are isolated, retryable faults retry with exponential backoff, and
-// every fault an experiment absorbed lands in its failure report
-// (included per experiment in the -json output). -fault-spec injects
-// scheduled faults (internal/faultinject) to exercise that machinery
-// end to end.
+// A failing point never takes the sweep down (DESIGN.md §10): a panic
+// is isolated, -point-timeout bounds each point, and every fault an
+// experiment absorbed lands in its failure report (included per
+// experiment in the -json output). Failed points fail their
+// experiment unless -tolerate keeps the surviving rows. -fault-spec
+// injects scheduled faults (internal/faultinject) to exercise that
+// path end to end.
 package main
 
 import (
@@ -57,10 +57,9 @@ func main() {
 		jsonOut   = flag.String("json", "", "write machine-readable rows + per-experiment wall-clock to this file")
 		stateDir  = flag.String("state-cache", "", "directory of content-keyed warm-state snapshots: each (workload, design, capacity) point warms once and later runs restore it (results byte-identical)")
 		stateMax  = flag.Int64("state-cache-max", 0, "cap the state cache's total size in bytes, evicting oldest entries first (0 = unlimited)")
-		retries   = flag.Int("max-retries", 0, "retry a simulation point up to N times on retryable faults (transient I/O), with exponential backoff")
-		timeout   = flag.Duration("point-timeout", 0, "per-attempt deadline for each simulation point (0 = none)")
+		timeout   = flag.Duration("point-timeout", 0, "deadline for each simulation point (0 = none)")
 		tolerate  = flag.Bool("tolerate", false, "keep an experiment's surviving rows when points fail for good (failed cells degrade to zero and land in the failure report)")
-		faultSpec = flag.String("fault-spec", "", "inject scheduled faults, e.g. 'point:transient:fails=1;snapshot-read:flipbit:offset=40' (testing the fault tolerance itself)")
+		faultSpec = flag.String("fault-spec", "", "inject scheduled faults, e.g. 'point:error:point=1;snapshot-read:flipbit:offset=40' (testing the fault tolerance itself)")
 		workers   int
 	)
 	flag.IntVar(&workers, "j", 0, "parallel simulation points: 0 = all cores, 1 = serial")
@@ -86,10 +85,6 @@ func main() {
 		Tolerate:           *tolerate,
 		// Options treats 0 as serial; the CLI treats 0 as "all cores".
 		Workers: sweep.Workers(workers),
-	}
-	if *retries > 0 {
-		o.MaxAttempts = *retries + 1
-		o.RetryBackoff = 100 * time.Millisecond
 	}
 	if *faultSpec != "" {
 		inj, err := faultinject.Parse(*faultSpec)
@@ -144,8 +139,8 @@ type jsonExperiment struct {
 	Seconds float64 `json:"seconds"`
 	Rows    any     `json:"rows"`
 	// Failures is the experiment's failure report: every fault the
-	// tolerant executor absorbed (panics, retries, timeouts, quarantined
-	// cache entries) with its disposition. Omitted on a clean run.
+	// sweep absorbed (panics, errors, timeouts, quarantined cache
+	// entries) with its disposition. Omitted on a clean run.
 	Failures []experiments.Failure `json:"failures,omitempty"`
 }
 

@@ -52,17 +52,15 @@
 //	fpsim -design footprint -trace-in run.trace -intervals 16 -sample-every 4
 //	fpsim -design footprint+memcache:50 -resize 0.25,0.75 -resize-every 250000
 //	fpsim -design subblock+memlow:0 -adaptive
-//	fpsim -max-retries 2 -point-timeout 5m
+//	fpsim -point-timeout 5m
 //	fpsim -fault-spec 'trace-read:flipbit:offset=64' -trace-in run.trace
 //	fpsim -list
 //
-// The fault-tolerance flags switch the sweep to the tolerant executor
-// (DESIGN.md §10): point panics are isolated, retryable faults retry
-// with exponential backoff, -point-timeout bounds each attempt, and
-// faulted points are reported on stderr (exit status 1 if any failed
-// for good) while surviving points still print. -fault-spec injects
-// scheduled faults — point failures and trace-read stream corruption —
-// to exercise that machinery.
+// A failing point never takes the sweep down (DESIGN.md §10): a panic
+// is isolated, -point-timeout bounds each point, every failed point is
+// reported on stderr, surviving points still print, and the exit
+// status is 1. -fault-spec injects scheduled faults — point failures
+// and trace-read stream corruption — to exercise that path.
 package main
 
 import (
@@ -76,6 +74,7 @@ import (
 	"time"
 
 	"fpcache"
+	"fpcache/internal/fault"
 	"fpcache/internal/faultinject"
 	"fpcache/internal/memtrace"
 	"fpcache/internal/sweep"
@@ -105,9 +104,8 @@ func main() {
 		sampleW   = flag.Int("interval-warmup", 0, "cold pre-roll records before each sampled interval (default: the interval's own length; requires -sample-every)")
 		checkpt   = flag.String("checkpoint", "", "write the post-warmup warm-state snapshot to this file, then measure (functional mode, single point)")
 		restore   = flag.String("restore", "", "restore the warm state from this snapshot instead of simulating warmup (functional mode, single point)")
-		retries   = flag.Int("max-retries", 0, "retry a simulation point up to N times on retryable faults (transient I/O), with exponential backoff")
-		timeout   = flag.Duration("point-timeout", 0, "per-attempt deadline for each simulation point (0 = none)")
-		faultSpec = flag.String("fault-spec", "", "inject scheduled faults, e.g. 'point:transient:fails=1;trace-read:flipbit:offset=64' (testing the fault tolerance itself)")
+		timeout   = flag.Duration("point-timeout", 0, "deadline for each simulation point (0 = none)")
+		faultSpec = flag.String("fault-spec", "", "inject scheduled faults, e.g. 'point:error:point=1;trace-read:flipbit:offset=64' (testing the fault tolerance itself)")
 		list      = flag.Bool("list", false, "list workload, design, and policy names and exit")
 	)
 	flag.Parse()
@@ -231,11 +229,6 @@ func main() {
 		if len(pts) > 1 {
 			fail(fmt.Errorf("-intervals parallelizes one run over its intervals; got %d simulation points (use -j without -intervals to sweep points)", len(pts)))
 		}
-		pol := sweep.Policy{Timeout: *timeout, Seed: *seed}
-		if *retries > 0 {
-			pol.MaxAttempts = *retries + 1
-			pol.Backoff = 100 * time.Millisecond
-		}
 		cfg := fpcache.Config{
 			Workload:         pts[0].workload,
 			Design:           fpcache.DesignKind(pts[0].design),
@@ -248,7 +241,7 @@ func main() {
 			ResizeFractions:  fractions,
 			AdaptiveResize:   *adaptive,
 		}
-		if err := runIntervalPoint(os.Stdout, cfg, *mode, *traceIn, *intCache, *intervals, *sampleK, *sampleW, *workers, pol); err != nil {
+		if err := runIntervalPoint(os.Stdout, cfg, *mode, *traceIn, *intCache, *intervals, *sampleK, *sampleW, *workers, *timeout); err != nil {
 			fail(err)
 		}
 		return
@@ -291,45 +284,17 @@ func main() {
 		return buf.String(), nil
 	}
 
-	var reports []string
-	failed := false
-	if inj.Active() || *retries > 0 || *timeout > 0 {
-		// Tolerant sweep: isolate, retry, and report instead of aborting
-		// the whole cross product on the first faulted point.
-		wrapped := job
-		if inj.Active() {
-			seq := inj.NextSweep()
-			wrapped = func(i int) (string, error) {
-				if err := inj.Point(seq, i); err != nil {
-					return "", err
-				}
-				return job(i)
-			}
+	seq := inj.NextSweep()
+	reports, failed := sweep.Map(*workers, len(pts), sweep.Policy{Timeout: *timeout}, func(i int) (string, error) {
+		if err := inj.Point(seq, i); err != nil {
+			return "", err
 		}
-		pol := sweep.Policy{Timeout: *timeout, Seed: *seed}
-		if *retries > 0 {
-			pol.MaxAttempts = *retries + 1
-			pol.Backoff = 100 * time.Millisecond
-		}
-		var pointReports []sweep.PointReport
-		reports, pointReports = sweep.MapTolerant(*workers, len(pts), pol, wrapped)
-		for _, r := range pointReports {
-			p := pts[r.Index]
-			if r.Err != nil {
-				failed = true
-				fmt.Fprintf(os.Stderr, "fpsim: %s/%s/%dMB failed after %d attempt(s) [%s]: %v\n",
-					p.workload, p.design, p.capMB, r.Attempts, r.Class, r.Err)
-			} else {
-				fmt.Fprintf(os.Stderr, "fpsim: %s/%s/%dMB recovered after %d attempts\n",
-					p.workload, p.design, p.capMB, r.Attempts)
-			}
-		}
-	} else {
-		var err error
-		reports, err = sweep.Map(*workers, len(pts), job)
-		if err != nil {
-			fail(err)
-		}
+		return job(i)
+	})
+	for _, r := range failed {
+		p := pts[r.Index]
+		fmt.Fprintf(os.Stderr, "fpsim: %s/%s/%dMB failed [%s]: %v\n",
+			p.workload, p.design, p.capMB, fault.ClassOf(r.Err), r.Err)
 	}
 	first := true
 	for _, rep := range reports {
@@ -342,7 +307,7 @@ func main() {
 		first = false
 		fmt.Print(rep)
 	}
-	if failed {
+	if len(failed) > 0 {
 		os.Exit(1)
 	}
 }
@@ -557,7 +522,7 @@ func runWarmStatePoint(cfg fpcache.Config, traceIn, checkpoint, restore string, 
 // -sample-every, only every k-th interval is measured after a cold
 // pre-roll, and the report carries the hit-ratio confidence interval
 // that approximation costs.
-func runIntervalPoint(w io.Writer, cfg fpcache.Config, mode, traceIn, cacheDir string, intervals, sampleK, sampleW, workers int, pol sweep.Policy) error {
+func runIntervalPoint(w io.Writer, cfg fpcache.Config, mode, traceIn, cacheDir string, intervals, sampleK, sampleW, workers int, timeout time.Duration) error {
 	f, err := os.Open(traceIn)
 	if err != nil {
 		return err
@@ -580,7 +545,7 @@ func runIntervalPoint(w io.Writer, cfg fpcache.Config, mode, traceIn, cacheDir s
 		MaxRefs:    cfg.Refs,
 		Intervals:  intervals, Workers: workers,
 		SampleEvery: sampleK, SampleWarmup: sampleW,
-		Retry: pol,
+		Timeout: timeout,
 	}
 	switch {
 	case cfg.AdaptiveResize:

@@ -10,7 +10,6 @@ import (
 
 	"fpcache"
 	"fpcache/internal/memtrace"
-	"fpcache/internal/sweep"
 )
 
 func testConfig() fpcache.Config {
@@ -238,10 +237,9 @@ func TestIntervalPointMatchesSerial(t *testing.T) {
 	var want bytes.Buffer
 	printFunctional(&want, cfg, serial)
 
-	pol := sweep.Policy{}
 	run := func() string {
 		var out bytes.Buffer
-		if err := runIntervalPoint(&out, cfg, "functional", path, filepath.Join(dir, "ckpt"), 4, 0, 0, 4, pol); err != nil {
+		if err := runIntervalPoint(&out, cfg, "functional", path, filepath.Join(dir, "ckpt"), 4, 0, 0, 4, 0); err != nil {
 			t.Fatal(err)
 		}
 		return out.String()

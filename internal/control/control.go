@@ -32,8 +32,8 @@ import (
 
 // corruptf builds a controller-state corruption error carrying the
 // taxonomy sentinel (fault.ErrCorruptSnapshot), so the warm-cache
-// quarantine and sweep retry layers classify decode failures without
-// matching message strings.
+// quarantine and the sweep's failure report classify decode failures
+// without matching message strings.
 func corruptf(format string, args ...any) error {
 	return fmt.Errorf("control: "+format+": %w", append(args, fault.ErrCorruptSnapshot)...)
 }

@@ -8,8 +8,8 @@ package control
 // stream whose config differs from the controller it restores into —
 // a snapshot is only meaningful against the controller shape that
 // wrote it. Every decode-side validation failure wraps
-// fault.ErrCorruptSnapshot so the quarantine and retry layers
-// classify it without matching strings.
+// fault.ErrCorruptSnapshot so the quarantine and failure-report
+// layers classify it without matching strings.
 
 import (
 	"io"

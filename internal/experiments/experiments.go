@@ -70,26 +70,16 @@ type Options struct {
 	// unlimited.
 	StateCacheMaxBytes int64
 
-	// The fault-tolerance knobs below switch sweeps from the strict
-	// executor (first error aborts the experiment) to the tolerant one
-	// (sweep.MapTolerant): panics are isolated per point, retryable
-	// faults retry up to MaxAttempts with RetryBackoff, PointTimeout
-	// bounds each attempt, and everything that failed or retried lands
-	// in the run's FailureReport. Successful points stay byte-identical
-	// to a strict run at any worker count.
+	// Every sweep isolates a panicking point (internal/sweep), and
+	// every point that fails lands in the run's FailureReport.
 
-	// MaxAttempts bounds per-point attempts for retryable faults
-	// (fpbench/fpsim -max-retries + 1); values below 2 mean no retry.
-	MaxAttempts int
-	// RetryBackoff is the base delay between attempts (doubled per
-	// retry, deterministically jittered from Seed).
-	RetryBackoff time.Duration
-	// PointTimeout is the per-attempt deadline (fpbench/fpsim
+	// PointTimeout is the per-point deadline (fpbench/fpsim
 	// -point-timeout); 0 disables it.
 	PointTimeout time.Duration
-	// Tolerate keeps an experiment's surviving rows when points fail
-	// for good: failed points degrade to zero-valued cells recorded in
-	// the FailureReport instead of failing the experiment.
+	// Tolerate keeps an experiment's surviving rows when points fail:
+	// failed points degrade to zero-valued cells recorded in the
+	// FailureReport instead of failing the experiment with the
+	// lowest-indexed failure.
 	Tolerate bool
 	// Injector schedules faults for testing the machinery above; nil
 	// (always, outside fault-injection runs) injects nothing.
@@ -98,14 +88,6 @@ type Options struct {
 	// rec collects the run's FailureReport when the caller asked for
 	// one (RowsWithReport); nil drops the records.
 	rec *failureRecorder
-}
-
-// faultTolerant reports whether any tolerance knob asks for the
-// tolerant executor; with none set, sweeps run strict exactly as
-// before.
-func (o Options) faultTolerant() bool {
-	return o.MaxAttempts > 1 || o.RetryBackoff > 0 || o.PointTimeout > 0 ||
-		o.Tolerate || o.Injector.Active()
 }
 
 // WithDefaults returns the options as every driver will actually run
@@ -148,11 +130,8 @@ func (o Options) workerCount() int {
 
 // Failure dispositions: what became of a faulted point.
 const (
-	// DispositionRetried: the point eventually succeeded; its row is
-	// indistinguishable from an unfaulted run's.
-	DispositionRetried = "retried-to-success"
-	// DispositionDegraded: the point failed for good; its row cells
-	// are zero-valued (only reported under Options.Tolerate).
+	// DispositionDegraded: the point failed; under Options.Tolerate
+	// its row cells are zero-valued, otherwise the experiment fails.
 	DispositionDegraded = "degraded"
 	// DispositionQuarantined: a corrupt warm-state snapshot was pulled
 	// out of service; the point fell back to a cold warmup and its row
@@ -161,18 +140,17 @@ const (
 )
 
 // Failure is one FailureReport entry: a point that panicked, timed
-// out, errored, retried, or had its cache entry quarantined.
+// out, errored, or had its cache entry quarantined.
 type Failure struct {
 	// Point identifies the faulted point (sweep/point index for sweep
 	// faults, workload/spec for cache faults).
 	Point string `json:"point"`
 	// Class is the fault taxonomy class.
 	Class fault.Class `json:"class"`
-	// Attempts is how many times the point ran.
-	Attempts int `json:"attempts"`
 	// Disposition is one of the Disposition* constants.
 	Disposition string `json:"disposition"`
-	// Error is the final error ("" when the point recovered).
+	// Error is the point's error ("" for a quarantine, whose point
+	// recovered).
 	Error string `json:"error,omitempty"`
 }
 
@@ -239,17 +217,12 @@ func (r *failureRecorder) report(experiment string) *FailureReport {
 }
 
 // pmap fans n independent simulation points out over the options'
-// worker pool and gathers the results in point order. Without
-// tolerance knobs it is the strict executor (first error aborts, as
-// every experiment always ran); with them, points run under
-// sweep.MapTolerant — isolated, retried, deadline-bounded — and the
-// fan-out's faults land in the failure recorder. Either way the
-// results of successful points are byte-identical at any worker
-// count.
+// worker pool and gathers the results in point order. Every point runs
+// isolated and deadline-bounded (sweep.Map), and each failed point
+// lands in the failure recorder. Without Options.Tolerate the
+// lowest-indexed failure fails the experiment. The results of
+// successful points are byte-identical at any worker count.
 func pmap[T any](o Options, n int, job func(i int) (T, error)) ([]T, error) {
-	if !o.faultTolerant() {
-		return sweep.Map(o.workerCount(), n, job)
-	}
 	// Sweep ordinals come from the injector when one is scheduling (so
 	// its sweep= selectors and our point keys agree), else from the
 	// recorder; experiments launch sweeps sequentially, so numbering is
@@ -260,42 +233,23 @@ func pmap[T any](o Options, n int, job func(i int) (T, error)) ([]T, error) {
 	} else {
 		seq = o.rec.nextSweep()
 	}
-	wrapped := job
-	if o.Injector.Active() {
-		wrapped = func(i int) (T, error) {
-			if err := o.Injector.Point(seq, i); err != nil {
-				var zero T
-				return zero, err
-			}
-			return job(i)
+	out, failed := sweep.Map(o.workerCount(), n, sweep.Policy{Timeout: o.PointTimeout}, func(i int) (T, error) {
+		if err := o.Injector.Point(seq, i); err != nil {
+			var zero T
+			return zero, err
 		}
-	}
-	pol := sweep.Policy{
-		MaxAttempts: o.MaxAttempts,
-		Backoff:     o.RetryBackoff,
-		Timeout:     o.PointTimeout,
-		Seed:        o.Seed,
-	}
-	out, reports := sweep.MapTolerant(o.workerCount(), n, pol, wrapped)
-	var firstErr error
-	for _, r := range reports {
-		f := Failure{
+		return job(i)
+	})
+	for _, r := range failed {
+		o.rec.add(Failure{
 			Point:       fmt.Sprintf("sweep%d/point%d", seq, r.Index),
-			Class:       r.Class,
-			Attempts:    r.Attempts,
-			Disposition: DispositionRetried,
-		}
-		if r.Err != nil {
-			f.Disposition = DispositionDegraded
-			f.Error = r.Err.Error()
-			if firstErr == nil {
-				firstErr = fmt.Errorf("point %d: %w", r.Index, r.Err)
-			}
-		}
-		o.rec.add(f)
+			Class:       fault.ClassOf(r.Err),
+			Disposition: DispositionDegraded,
+			Error:       r.Err.Error(),
+		})
 	}
-	if firstErr != nil && !o.Tolerate {
-		return nil, firstErr
+	if len(failed) > 0 && !o.Tolerate {
+		return nil, failed[0]
 	}
 	return out, nil
 }
@@ -451,9 +405,7 @@ func (o Options) warmCache() (*system.WarmCache, error) {
 // The cache can only accelerate the point, never poison it: a corrupt
 // or identity-mismatched entry is quarantined by the cache, recorded
 // in the failure report, and the point rebuilds its design and warms
-// cold — producing rows byte-identical to a never-cached run. A
-// transient read failure propagates instead (the entry may be fine),
-// so the sweep's retry policy decides.
+// cold — producing rows byte-identical to a never-cached run.
 func (o Options) warmState(spec system.DesignSpec, workload string) (*system.SimState, memtrace.Source, synth.Profile, error) {
 	src, prof, err := o.trace(workload)
 	if err != nil {
@@ -490,7 +442,6 @@ func (o Options) warmState(spec system.DesignSpec, workload string) (*system.Sim
 		o.rec.add(Failure{
 			Point:       fmt.Sprintf("%s/%s/%dMB/%.12s", workload, spec.Kind, spec.PaperCapacityMB, quarantined.Key),
 			Class:       class,
-			Attempts:    1,
 			Disposition: DispositionQuarantined,
 			Error:       quarantined.Err.Error(),
 		})
@@ -587,10 +538,10 @@ func Rows(name string, o Options) (any, error) {
 }
 
 // RowsWithReport is Rows plus the run's FailureReport: every fault the
-// tolerant executor absorbed (panics isolated, retries, timeouts,
-// quarantined cache entries) with its disposition. A clean run returns
-// an empty report. Under Options.Tolerate the rows come back degraded
-// instead of err being set when points failed for good.
+// sweep absorbed (panics isolated, errors, timeouts, quarantined cache
+// entries) with its disposition. A clean run returns an empty report.
+// Under Options.Tolerate the rows come back degraded instead of err
+// being set when points failed.
 func RowsWithReport(name string, o Options) (any, *FailureReport, error) {
 	e, ok := registry[name]
 	if !ok {

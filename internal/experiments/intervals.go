@@ -10,7 +10,6 @@ import (
 
 	"fpcache/internal/memtrace"
 	"fpcache/internal/stats"
-	"fpcache/internal/sweep"
 	"fpcache/internal/system"
 )
 
@@ -135,10 +134,7 @@ func intervalWorkloadRows(o Options, wl string) ([]IntervalRow, error) {
 		Spec: spec, Workload: wl, Seed: o.Seed, Scale: o.Scale,
 		WarmupRefs: o.WarmupRefs, MaxRefs: o.Refs,
 		Intervals: intervalsPerRun, Workers: workers,
-		Retry: sweep.Policy{
-			MaxAttempts: o.MaxAttempts, Backoff: o.RetryBackoff,
-			Timeout: o.PointTimeout, Seed: o.Seed,
-		},
+		Timeout: o.PointTimeout,
 	}
 	rows := []IntervalRow{{
 		Workload: wl, Mode: "serial", Workers: 1, Intervals: 1, Segments: 1,

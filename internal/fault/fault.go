@@ -1,10 +1,9 @@
-// Package fault is the error taxonomy of the fault-tolerant sweep
-// stack. Every failure a long-running sweep can hit — a corrupt trace
-// chunk, a torn warm-state snapshot, a panicking design composition, a
-// point deadline, a transient I/O error — is classified against the
-// sentinel errors here, so callers at every layer decide disposition
-// (retry, quarantine, degrade) from the class instead of matching
-// error strings.
+// Package fault is the error taxonomy of the sweep stack. Every
+// failure a long-running sweep can hit — a corrupt trace chunk, a torn
+// warm-state snapshot, a panicking design composition, a point
+// deadline — is classified against the sentinel errors here, so
+// callers at every layer decide disposition (quarantine, degrade, fail)
+// from the class instead of matching error strings.
 //
 // Producers wrap the sentinels with %w (fmt.Errorf or dedicated error
 // types implementing Unwrap), consumers test with errors.Is or the
@@ -26,7 +25,6 @@ const (
 	ClassCorruptSnapshot Class = "corrupt-snapshot"
 	ClassPanic           Class = "panic"
 	ClassTimeout         Class = "timeout"
-	ClassTransientIO     Class = "transient-io"
 	ClassInvalidOps      Class = "invalid-ops"
 	ClassUnknown         Class = "unknown"
 )
@@ -45,26 +43,18 @@ var (
 	ErrPointPanic = errors.New("sweep point panicked")
 	// ErrTimeout marks a sweep point that exceeded its deadline.
 	ErrTimeout = errors.New("sweep point timed out")
-	// ErrTransientIO marks an I/O failure expected to clear on retry —
-	// the one class retried by default.
-	ErrTransientIO = errors.New("transient I/O error")
 	// ErrInvalidOps marks a design that emitted a structurally invalid
 	// operation DAG (dcache.ValidateOps failure).
 	ErrInvalidOps = errors.New("invalid op list")
 )
 
 // classOrder pairs each sentinel with its class for classification.
-// ErrTransientIO outranks the corruption classes: a transient read
-// error surfacing through a decoder wraps both ("corrupt" framing
-// around a transient cause), and retryability must win so the retry
-// machinery fires instead of a spurious quarantine.
 var classOrder = []struct {
 	err   error
 	class Class
 }{
 	{ErrPointPanic, ClassPanic},
 	{ErrTimeout, ClassTimeout},
-	{ErrTransientIO, ClassTransientIO},
 	{ErrCorruptSnapshot, ClassCorruptSnapshot},
 	{ErrCorruptTrace, ClassCorruptTrace},
 	{ErrInvalidOps, ClassInvalidOps},
@@ -83,12 +73,4 @@ func ClassOf(err error) Class {
 		}
 	}
 	return ClassUnknown
-}
-
-// Retryable reports whether an error is worth retrying: transient I/O
-// faults are, everything else (corruption, panics, timeouts, malformed
-// DAGs, unknown errors) is deterministic or already consumed its
-// budget and fails the same way again.
-func Retryable(err error) bool {
-	return errors.Is(err, ErrTransientIO)
 }

@@ -17,24 +17,12 @@ func TestClassOf(t *testing.T) {
 		{fmt.Errorf("restoring: %w", ErrCorruptSnapshot), ClassCorruptSnapshot},
 		{fmt.Errorf("point 4: %w: boom", ErrPointPanic), ClassPanic},
 		{fmt.Errorf("%w after 50ms", ErrTimeout), ClassTimeout},
-		{fmt.Errorf("read: %w", ErrTransientIO), ClassTransientIO},
 		{fmt.Errorf("design x: %w", ErrInvalidOps), ClassInvalidOps},
 		{errors.New("something else"), ClassUnknown},
 	}
 	for _, c := range cases {
 		if got := ClassOf(c.err); got != c.want {
 			t.Errorf("ClassOf(%v) = %q, want %q", c.err, got, c.want)
-		}
-	}
-}
-
-func TestRetryable(t *testing.T) {
-	if !Retryable(fmt.Errorf("flaky nfs: %w", ErrTransientIO)) {
-		t.Error("transient I/O must be retryable")
-	}
-	for _, err := range []error{ErrCorruptTrace, ErrCorruptSnapshot, ErrPointPanic, ErrTimeout, ErrInvalidOps, errors.New("x")} {
-		if Retryable(err) {
-			t.Errorf("%v must not be retryable", err)
 		}
 	}
 }

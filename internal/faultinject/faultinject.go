@@ -1,8 +1,7 @@
 // Package faultinject is a deterministic, seedable fault-injection
 // harness for sweep execution: it turns a textual fault spec into
-// scheduled point failures (panics, transient errors, sleeps) and I/O
-// stream corruption (bit flips, truncation, transient read/write
-// failures with scheduled recovery). Everything it injects is a pure
+// scheduled point failures (panics, errors, sleeps) and I/O stream
+// corruption (bit flips, truncation). Everything it injects is a pure
 // function of the spec and the injection sites' own counters — never
 // wall-clock time or math/rand — so a faulted sweep is reproducible
 // and its fault-tolerance behavior can be pinned by tests.
@@ -19,8 +18,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"fpcache/internal/fault"
 )
 
 // Injection sites. Point faults fire inside a sweep point's job;
@@ -40,7 +37,6 @@ type action int
 
 const (
 	actPanic action = iota
-	actTransient
 	actSleep
 	actError
 	actFlipBit
@@ -48,12 +44,11 @@ const (
 )
 
 var actionNames = map[string]action{
-	"panic":     actPanic,
-	"transient": actTransient,
-	"sleep":     actSleep,
-	"error":     actError,
-	"flipbit":   actFlipBit,
-	"truncate":  actTruncate,
+	"panic":    actPanic,
+	"sleep":    actSleep,
+	"error":    actError,
+	"flipbit":  actFlipBit,
+	"truncate": actTruncate,
 }
 
 // rule is one parsed clause of a fault spec.
@@ -64,9 +59,6 @@ type rule struct {
 	// Point-rule selectors: which (sweep, point) the rule fires on;
 	// -1 matches any.
 	sweep, point int
-	// fails bounds how many attempts (point transient) or stream
-	// ordinals (I/O transient) fail before recovery.
-	fails int
 	// ms is the sleep duration for act == actSleep.
 	ms int
 
@@ -80,18 +72,16 @@ type rule struct {
 }
 
 // Injector schedules faults from a parsed spec. All counters are
-// mutex-guarded; point-fault scheduling is keyed per (sweep, point)
-// attempt, so it is independent of worker interleaving. Stream
-// ordinals at an I/O site increment in open order, which is
-// deterministic in serial sweeps; parallel sweeps should prefer
-// every-stream rules (no nth=, transient without recovery windows that
-// straddle workers) when byte-parity across worker counts matters.
+// mutex-guarded; point faults are keyed by (sweep, point), so they are
+// independent of worker interleaving. Stream ordinals at an I/O site
+// increment in open order, which is deterministic in serial sweeps;
+// parallel sweeps should prefer every-stream rules (no nth=) when
+// byte-parity across worker counts matters.
 type Injector struct {
-	mu       sync.Mutex
-	rules    []*rule
-	attempts map[[2]int]int
-	streams  map[string]int
-	sweeps   int
+	mu      sync.Mutex
+	rules   []*rule
+	streams map[string]int
+	sweeps  int
 }
 
 // Parse compiles a fault spec: semicolon-separated clauses of the form
@@ -102,9 +92,7 @@ type Injector struct {
 // Point actions (site "point"):
 //
 //	panic                    panic the job (optionally sweep=/point=)
-//	transient[:fails=N]      fail the first N attempts with a retryable
-//	                         transient I/O error (default 1), then recover
-//	error                    fail every attempt with a permanent error
+//	error                    fail the job with a permanent error
 //	sleep:ms=D               sleep D milliseconds inside the job
 //
 // Stream actions (I/O sites):
@@ -112,14 +100,12 @@ type Injector struct {
 //	flipbit:offset=O[,bit=B][,nth=K]   XOR bit B of the byte at stream
 //	                                   offset O (corruption in flight)
 //	truncate:at=O[,nth=K]              end the stream after O bytes
-//	transient[:fails=N]                streams with ordinal < N fail with
-//	                                   a retryable error, later ones work
-//	                                   (a device that recovers)
 //
 // Selectors sweep=, point=, and nth= default to matching everything.
-// An empty spec yields an injector that injects nothing.
+// Every parameter value must be non-negative. An empty spec yields an
+// injector that injects nothing.
 func Parse(spec string) (*Injector, error) {
-	in := &Injector{attempts: map[[2]int]int{}, streams: map[string]int{}}
+	in := &Injector{streams: map[string]int{}}
 	for _, clause := range strings.Split(spec, ";") {
 		clause = strings.TrimSpace(clause)
 		if clause == "" {
@@ -160,7 +146,7 @@ func parseClause(clause string) (*rule, error) {
 			return nil, fmt.Errorf("faultinject: action %q needs an I/O site in %q", parts[1], clause)
 		}
 	}
-	r := &rule{site: site, act: act, sweep: -1, point: -1, fails: 1, nth: -1}
+	r := &rule{site: site, act: act, sweep: -1, point: -1, nth: -1}
 	if len(parts) == 3 {
 		for _, kv := range strings.Split(parts[2], ",") {
 			k, v, ok := strings.Cut(kv, "=")
@@ -171,13 +157,14 @@ func parseClause(clause string) (*rule, error) {
 			if err != nil {
 				return nil, fmt.Errorf("faultinject: param %s in %q: %v", kv, clause, err)
 			}
+			if n < 0 {
+				return nil, fmt.Errorf("faultinject: param %s in %q is negative", kv, clause)
+			}
 			switch k {
 			case "sweep":
 				r.sweep = int(n)
 			case "point":
 				r.point = int(n)
-			case "fails":
-				r.fails = int(n)
 			case "ms":
 				r.ms = int(n)
 			case "nth":
@@ -185,7 +172,7 @@ func parseClause(clause string) (*rule, error) {
 			case "offset":
 				r.offset = n
 			case "bit":
-				if n < 0 || n > 7 {
+				if n > 7 {
 					return nil, fmt.Errorf("faultinject: bit %d out of [0,7] in %q", n, clause)
 				}
 				r.bit = uint(n)
@@ -205,8 +192,12 @@ func (in *Injector) Active() bool { return in != nil && len(in.rules) > 0 }
 // NextSweep allocates the next sweep ordinal, so point rules with a
 // sweep= selector can target one pmap fan-out among several in an
 // experiment. Sweeps are numbered in launch order, which is
-// deterministic (experiments launch their sweeps sequentially).
+// deterministic (experiments launch their sweeps sequentially). A nil
+// injector numbers every sweep 0.
 func (in *Injector) NextSweep() int {
+	if in == nil {
+		return 0
+	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	n := in.sweeps
@@ -214,43 +205,23 @@ func (in *Injector) NextSweep() int {
 	return n
 }
 
-// Point fires point-site rules for one attempt of (sweep, point). It
-// may sleep, panic, or return an error by scheduled design; a nil
-// return means the attempt proceeds unfaulted. Attempt counting is per
-// (sweep, point), so scheduling is identical at any worker count.
+// Point fires point-site rules for (sweep, point). It may sleep,
+// panic, or return an error by scheduled design; a nil return means
+// the point proceeds unfaulted. The rules read no counters, so
+// scheduling is identical at any worker count.
 func (in *Injector) Point(sweep, point int) error {
 	if in == nil {
 		return nil
 	}
-	in.mu.Lock()
-	key := [2]int{sweep, point}
-	in.attempts[key]++
-	attempt := in.attempts[key]
-	var fire []*rule
 	for _, r := range in.rules {
-		if r.site != SitePoint {
+		if r.site != SitePoint || (r.sweep >= 0 && r.sweep != sweep) || (r.point >= 0 && r.point != point) {
 			continue
 		}
-		if r.sweep >= 0 && r.sweep != sweep {
-			continue
-		}
-		if r.point >= 0 && r.point != point {
-			continue
-		}
-		fire = append(fire, r)
-	}
-	in.mu.Unlock()
-	for _, r := range fire {
 		switch r.act {
 		case actSleep:
 			time.Sleep(time.Duration(r.ms) * time.Millisecond)
 		case actPanic:
 			panic(fmt.Sprintf("faultinject: scheduled panic at sweep %d point %d", sweep, point))
-		case actTransient:
-			if attempt <= r.fails {
-				return fmt.Errorf("faultinject: scheduled transient fault at sweep %d point %d attempt %d: %w",
-					sweep, point, attempt, fault.ErrTransientIO)
-			}
 		case actError:
 			return fmt.Errorf("faultinject: scheduled permanent fault at sweep %d point %d", sweep, point)
 		}
@@ -266,11 +237,6 @@ func (in *Injector) siteRules(site string, n int) []*rule {
 			continue
 		}
 		if r.nth >= 0 && r.nth != n {
-			continue
-		}
-		// A transient stream rule only downs ordinals below its
-		// recovery point.
-		if r.act == actTransient && n >= r.fails {
 			continue
 		}
 		out = append(out, r)
@@ -365,22 +331,7 @@ func (s *faultStream) apply(p []byte, n int) (int, bool) {
 	return n, truncated
 }
 
-// transientErr returns the scheduled transient failure for this
-// stream, if any: transient rules make the whole stream error (the
-// device is down); recovery is scheduled by stream ordinal, not time.
-func (s *faultStream) transientErr() error {
-	for _, r := range s.rules {
-		if r.act == actTransient {
-			return fmt.Errorf("faultinject: scheduled stream fault: %w", fault.ErrTransientIO)
-		}
-	}
-	return nil
-}
-
 func (s *faultStream) Read(p []byte) (int, error) {
-	if err := s.transientErr(); err != nil {
-		return 0, err
-	}
 	n, err := s.r.Read(p)
 	n, truncated := s.apply(p, n)
 	s.pos += int64(n)
@@ -391,9 +342,6 @@ func (s *faultStream) Read(p []byte) (int, error) {
 }
 
 func (s *faultStream) Write(p []byte) (int, error) {
-	if err := s.transientErr(); err != nil {
-		return 0, err
-	}
 	// Corrupt a copy: the caller's buffer is not ours to mutate.
 	q := append([]byte(nil), p...)
 	n, truncated := s.apply(q, len(q))
@@ -417,9 +365,6 @@ type faultSeeker struct {
 }
 
 func (s *faultSeeker) Seek(offset int64, whence int) (int64, error) {
-	if err := s.transientErr(); err != nil {
-		return 0, err
-	}
 	pos, err := s.rs.Seek(offset, whence)
 	if err == nil {
 		s.pos = pos

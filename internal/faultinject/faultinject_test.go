@@ -2,12 +2,9 @@ package faultinject
 
 import (
 	"bytes"
-	"errors"
 	"io"
 	"strings"
 	"testing"
-
-	"fpcache/internal/fault"
 )
 
 func TestParseRejectsMalformedSpecs(t *testing.T) {
@@ -17,10 +14,18 @@ func TestParseRejectsMalformedSpecs(t *testing.T) {
 		"point:explode",               // unknown action
 		"point:flipbit:offset=1",      // I/O action on point site
 		"snapshot-read:panic",         // point action on I/O site
-		"point:transient:fails=x",     // non-numeric value
-		"point:transient:bogus=1",     // unknown param
+		"point:error:point=x",         // non-numeric value
+		"point:error:bogus=1",         // unknown param
 		"snapshot-read:flipbit:bit=9", // bit out of range
 		"point:sleep:ms",              // param without value
+		// Negative values: selectors would match everything, offsets
+		// and truncation points would silently change meaning.
+		"point:error:point=-2",
+		"point:error:sweep=-1",
+		"snapshot-read:flipbit:offset=1,nth=-1",
+		"snapshot-read:flipbit:offset=-3",
+		"snapshot-write:truncate:at=-1",
+		"point:sleep:ms=-5",
 	} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) succeeded", spec)
@@ -29,29 +34,6 @@ func TestParseRejectsMalformedSpecs(t *testing.T) {
 	in, err := Parse(" ; ")
 	if err != nil || in.Active() {
 		t.Fatalf("empty spec: %v active=%v", err, in.Active())
-	}
-}
-
-func TestPointTransientSchedule(t *testing.T) {
-	// The schedule is per (sweep, point) attempt: the first two
-	// attempts of point 3 fail retryably, the third succeeds, and
-	// every other point is untouched — regardless of call order.
-	in, err := Parse("point:transient:point=3,fails=2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := in.Point(0, 1); err != nil {
-		t.Fatalf("unfaulted point errored: %v", err)
-	}
-	for attempt := 1; attempt <= 3; attempt++ {
-		err := in.Point(0, 3)
-		if attempt <= 2 {
-			if !errors.Is(err, fault.ErrTransientIO) {
-				t.Fatalf("attempt %d: %v, want transient", attempt, err)
-			}
-		} else if err != nil {
-			t.Fatalf("attempt %d should have recovered: %v", attempt, err)
-		}
 	}
 }
 
@@ -66,7 +48,7 @@ func TestPointSweepSelector(t *testing.T) {
 	if err := in.Point(0, 0); err != nil {
 		t.Fatalf("sweep 0 faulted: %v", err)
 	}
-	if err := in.Point(1, 0); err == nil || fault.Retryable(err) {
+	if err := in.Point(1, 0); err == nil {
 		t.Fatalf("sweep 1 point 0: %v, want permanent error", err)
 	}
 }
@@ -137,23 +119,6 @@ func TestReaderTruncate(t *testing.T) {
 	got, _ := io.ReadAll(in.Reader(SiteSnapshotRead, strings.NewReader("0123456789")))
 	if string(got) != "0123" {
 		t.Fatalf("got %q", got)
-	}
-}
-
-func TestReaderTransientRecoversByOrdinal(t *testing.T) {
-	in, err := Parse("snapshot-read:transient:fails=2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ordinal := 0; ordinal < 3; ordinal++ {
-		_, rerr := io.ReadAll(in.Reader(SiteSnapshotRead, strings.NewReader("data")))
-		if ordinal < 2 {
-			if !errors.Is(rerr, fault.ErrTransientIO) {
-				t.Fatalf("stream %d: %v, want transient", ordinal, rerr)
-			}
-		} else if rerr != nil {
-			t.Fatalf("stream %d should have recovered: %v", ordinal, rerr)
-		}
 	}
 }
 

@@ -1,8 +1,8 @@
 // End-to-end fault-injection matrix: every fault class the harness can
 // schedule is driven through a real experiment sweep and must land in
-// exactly one of the tolerated outcomes — retried to success with rows
-// byte-identical to a clean run, degraded with a failure report, or
-// quarantined with a cold-warmup fallback — and never crash the sweep.
+// exactly one of the tolerated outcomes — degraded with a failure
+// report, or quarantined with a cold-warmup fallback and rows
+// byte-identical to a clean run — and never crash the sweep.
 //
 // The test lives in the external package so it can import experiments
 // (which imports faultinject) without a cycle. Trace-read stream faults
@@ -89,25 +89,6 @@ func TestPointFaultMatrix(t *testing.T) {
 		sameRows []int
 	}{
 		{
-			name: "transient-retried-to-success",
-			spec: "point:transient:fails=2",
-			tune: func(o *experiments.Options) { o.MaxAttempts = 3 },
-			wantFailures: [][2]string{
-				{experiments.DispositionRetried, string(fault.ClassNone)},
-				{experiments.DispositionRetried, string(fault.ClassNone)},
-			},
-			sameRows: []int{0, 1},
-		},
-		{
-			name: "transient-budget-exhausted",
-			spec: "point:transient:fails=5",
-			tune: func(o *experiments.Options) { o.MaxAttempts = 2; o.Tolerate = true },
-			wantFailures: [][2]string{
-				{experiments.DispositionDegraded, string(fault.ClassTransientIO)},
-				{experiments.DispositionDegraded, string(fault.ClassTransientIO)},
-			},
-		},
-		{
 			name: "panic-isolated-and-degraded",
 			spec: "point:panic:point=0",
 			tune: func(o *experiments.Options) { o.Tolerate = true },
@@ -169,9 +150,6 @@ func TestPointFaultMatrix(t *testing.T) {
 					t.Errorf("failure %d: disposition=%q class=%q, want %q/%q (%s)",
 						i, f.Disposition, f.Class, want[0], want[1], testutil.AsJSON(t, f))
 				}
-				if f.Attempts < 1 {
-					t.Errorf("failure %d: attempts=%d", i, f.Attempts)
-				}
 				if f.Disposition == experiments.DispositionDegraded && f.Error == "" {
 					t.Errorf("failure %d: degraded without an error message", i)
 				}
@@ -203,10 +181,9 @@ func figure9Options(workers int, dir string) experiments.Options {
 }
 
 // TestSnapshotFaultMatrix drives the warm-state cache's fault classes:
-// torn writes, in-flight read corruption, truncation, and transient
-// read failures. Corruption must quarantine and fall back to a cold
-// warmup with rows byte-identical to a never-cached run; transients
-// must retry to success.
+// torn writes, in-flight read corruption, and truncation. Each must
+// quarantine and fall back to a cold warmup with rows byte-identical
+// to a never-cached run.
 func TestSnapshotFaultMatrix(t *testing.T) {
 	neverCached, err := experiments.Rows("figure9", matrixOptions(2))
 	if err != nil {
@@ -321,32 +298,6 @@ func TestSnapshotFaultMatrix(t *testing.T) {
 			t.Fatalf("expected 7 quarantines, got %s", testutil.AsJSON(t, rep))
 		}
 	})
-
-	t.Run("read-transient-retried", func(t *testing.T) {
-		dir := t.TempDir()
-		populate(t, dir)
-		// Stream ordinals 0 and 1 fail with a retryable error, later
-		// opens work — a device that recovers. Serial workers make the
-		// open order deterministic: point 0's first two attempts fail,
-		// its third succeeds, every later point reads ordinals >= 2.
-		o := figure9Options(1, dir)
-		o.Injector = mustParse(t, "snapshot-read:transient:fails=2")
-		o.MaxAttempts = 3
-		rows, rep, err := experiments.RowsWithReport("figure9", o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := testutil.AsJSON(t, rows); got != want {
-			t.Fatalf("transient-retry run diverged from never-cached rows")
-		}
-		if len(rep.Failures) != 1 {
-			t.Fatalf("expected 1 retried point, got %s", testutil.AsJSON(t, rep))
-		}
-		f := rep.Failures[0]
-		if f.Disposition != experiments.DispositionRetried || f.Attempts != 3 {
-			t.Fatalf("unexpected failure: %s", testutil.AsJSON(t, f))
-		}
-	})
 }
 
 // TestFaultedSweepDeterminismParity pins the acceptance bar: under the
@@ -375,7 +326,6 @@ func TestFaultedSweepDeterminismParity(t *testing.T) {
 		spec string
 		tune func(o *experiments.Options)
 	}{
-		{"transient-retries", "point:transient:fails=2", func(o *experiments.Options) { o.MaxAttempts = 3 }},
 		{"isolated-panic", "point:panic:point=1", func(o *experiments.Options) { o.Tolerate = true }},
 		{"permanent-error", "point:error:point=0", func(o *experiments.Options) { o.Tolerate = true }},
 	}

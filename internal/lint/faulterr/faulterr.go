@@ -1,9 +1,9 @@
 // Package faulterr statically enforces the fault taxonomy on the
 // snapshot and trace error paths: every error constructed there must
 // wrap a fault.Err* sentinel or another error, so fault.ClassOf can
-// classify it and the tolerant sweep layer picks the right disposition
-// (retry, quarantine, degrade) instead of treating a new error as
-// unretryable "unknown". Violations are bare errors.New inside a
+// classify it and the sweep layer picks the right disposition
+// (quarantine, degrade) instead of treating a new error as an
+// unclassified "unknown". Violations are bare errors.New inside a
 // function body (package-level sentinels are the taxonomy itself and
 // stay legal) and fmt.Errorf whose format string carries no %w verb.
 package faulterr

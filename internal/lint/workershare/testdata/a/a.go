@@ -33,8 +33,8 @@ func CommitByIndex(jobs []int) []int {
 }
 
 // SweepJobCommit uses the executor's job-index parameter. No findings.
-func SweepJobCommit(n int) ([]int, error) {
-	return sweep.Map(4, n, func(i int) (int, error) {
+func SweepJobCommit(n int) ([]int, []sweep.PointError) {
+	return sweep.Map(4, n, sweep.Policy{}, func(i int) (int, error) {
 		return i * i, nil
 	})
 }
@@ -214,13 +214,13 @@ func SharedStructField(jobs []int) {
 
 // NamedJobVariable resolves the `job := func(...)` binding the sweep
 // executors are actually called with throughout the repo.
-func NamedJobVariable(n int) ([]int, error) {
+func NamedJobVariable(n int) ([]int, []sweep.PointError) {
 	var out []int
 	job := func(i int) (int, error) {
 		out = append(out, i) // want `worker writes captured variable out`
 		return i, nil
 	}
-	return sweep.Map(4, n, job)
+	return sweep.Map(4, n, sweep.Policy{}, job)
 }
 
 // ChannelFanIn is legal: channel communication synchronizes

@@ -3,9 +3,8 @@
 // communicate only through commit-by-job-index slots, never through
 // arbitrarily-interleaved writes to shared state. The analyzer builds
 // the goroutine-spawn graph — `go` statements plus the closure
-// arguments of the sweep executor entry points (sweep.Run/Map/
-// RunTolerant/MapTolerant, whose job functions run concurrently) —
-// computes which variables each worker closure captures or reaches
+// argument of the sweep executor entry point (sweep.Map, whose job
+// function runs concurrently) — computes which variables each worker closure captures or reaches
 // transitively (package-level variables included), and flags writes to
 // that shared state.
 //
@@ -47,15 +46,13 @@ import (
 var Analyzer = &lint.Analyzer{
 	Name: "workershare",
 	Doc: "flags writes to shared state from goroutines spawned by `go` or the sweep " +
-		"executors unless committed by job index, atomic, or mutex-guarded",
+		"executor unless committed by job index, atomic, or mutex-guarded",
 	Run: run,
 }
 
 // sweepEntryPoints are the executor functions whose final closure
 // argument runs concurrently on the worker pool.
-var sweepEntryPoints = map[string]bool{
-	"Run": true, "Map": true, "RunTolerant": true, "MapTolerant": true,
-}
+var sweepEntryPoints = map[string]bool{"Map": true}
 
 // maxReachDepth bounds the transitive search for package-level writes
 // reached through calls from a worker body.
@@ -81,7 +78,7 @@ func run(pass *lint.Pass) error {
 }
 
 // isSweepEntry matches calls to the sweep executor entry points, both
-// qualified (sweep.MapTolerant) and package-internal (Run inside
+// qualified (sweep.Map) and package-internal (Map inside
 // internal/sweep itself).
 func isSweepEntry(info *types.Info, call *ast.CallExpr) bool {
 	fn := lint.CalleeFunc(info, call)

@@ -162,11 +162,11 @@ func NewWriterV2(w io.Writer) *WriterV2 {
 // called before the first Write.
 func (tw *WriterV2) SetChunkRecords(n int) error {
 	if tw.started {
-		//fplint:ignore faulterr caller API misuse, not trace damage; ClassUnknown (no retry, no quarantine) is right
+		//fplint:ignore faulterr caller API misuse, not trace damage; ClassUnknown (no quarantine) is right
 		return fmt.Errorf("memtrace: SetChunkRecords after first Write")
 	}
 	if n < 1 {
-		//fplint:ignore faulterr caller API misuse, not trace damage; ClassUnknown (no retry, no quarantine) is right
+		//fplint:ignore faulterr caller API misuse, not trace damage; ClassUnknown (no quarantine) is right
 		return fmt.Errorf("memtrace: chunk size %d must be positive", n)
 	}
 	tw.chunkRecs = n
@@ -192,7 +192,7 @@ func (tw *WriterV2) header() error {
 // Write appends one record.
 func (tw *WriterV2) Write(r Record) error {
 	if tw.closed {
-		//fplint:ignore faulterr caller API misuse, not trace damage; ClassUnknown (no retry, no quarantine) is right
+		//fplint:ignore faulterr caller API misuse, not trace damage; ClassUnknown (no quarantine) is right
 		return fmt.Errorf("memtrace: Write after Close")
 	}
 	if !tw.started {
@@ -430,7 +430,7 @@ func NewFileReader(rs io.ReadSeeker) (*FileReader, error) {
 func (fr *FileReader) OpenSection(start, n uint64) (*FileReader, error) {
 	ra, ok := fr.rs.(io.ReaderAt)
 	if !ok {
-		//fplint:ignore faulterr caller API misuse, not trace damage; ClassUnknown (no retry, no quarantine) is right
+		//fplint:ignore faulterr caller API misuse, not trace damage; ClassUnknown (no quarantine) is right
 		return nil, fmt.Errorf("memtrace: trace reader %T is not an io.ReaderAt; concurrent sections need random access", fr.rs)
 	}
 	if start > fr.total || n > fr.total-start {
@@ -541,7 +541,7 @@ func (fr *FileReader) Chunks() (offsets, starts, counts []uint64) {
 func (fr *FileReader) TraceID() (string, error) {
 	ra, ok := fr.rs.(io.ReaderAt)
 	if !ok {
-		//fplint:ignore faulterr caller API misuse, not trace damage; ClassUnknown (no retry, no quarantine) is right
+		//fplint:ignore faulterr caller API misuse, not trace damage; ClassUnknown (no quarantine) is right
 		return "", fmt.Errorf("memtrace: trace reader %T is not an io.ReaderAt; content hashing needs random access", fr.rs)
 	}
 	h := sha256.New()

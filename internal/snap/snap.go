@@ -23,8 +23,8 @@ import (
 
 // corruptf builds a snapshot-corruption error carrying the taxonomy
 // sentinel (fault.ErrCorruptSnapshot), so the warm-cache quarantine
-// and sweep retry layers classify decode failures without matching
-// message strings. Args may include a wrapped cause via %w.
+// and the sweep's failure report classify decode failures without
+// matching message strings. Args may include a wrapped cause via %w.
 func corruptf(format string, args ...any) error {
 	return fmt.Errorf("snap: "+format+": %w", append(args, fault.ErrCorruptSnapshot)...)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
+	"time"
 
 	"fpcache/internal/control"
 	"fpcache/internal/core"
@@ -101,10 +102,9 @@ type IntervalOptions struct {
 	// over each interval (Cores/MLP/L2Cycles/OffChip/Stacked taken
 	// from it; warmup, bounds, and resize wiring are per-interval).
 	Timing *TimingConfig
-	// Retry is the tolerant-executor policy for interval jobs
-	// (transient trace/cache I/O). The zero value runs each point
-	// once with panic isolation.
-	Retry sweep.Policy
+	// Timeout is the per-job deadline for interval jobs; zero
+	// disables it.
+	Timeout time.Duration
 }
 
 // IntervalReport is the outcome of an interval-parallel run.
@@ -160,7 +160,7 @@ func PlanIntervals(tr *memtrace.FileReader, warmupRefs, maxRefs, k int) ([]Inter
 		w = uint64(warmupRefs)
 	}
 	if w >= total {
-		//fplint:ignore faulterr plan validation rejecting impossible caller options; not a retryable or quarantinable artifact fault
+		//fplint:ignore faulterr plan validation rejecting impossible caller options; not a quarantinable artifact fault
 		return nil, fmt.Errorf("system: warmup of %d records consumes the whole %d-record trace", warmupRefs, total)
 	}
 	m := total - w
@@ -339,7 +339,7 @@ func planSegments(opt *IntervalOptions, traceID string, ivs []Interval) ([]segme
 		if hit, _, err := opt.Cache.Load(opt.key(traceID, at), s); err == nil && hit {
 			return s
 		}
-		return nil // miss, quarantine, or transient failure all fall back to replay
+		return nil // miss, quarantine, or open failure all fall back to replay
 	}
 	var segs []segment
 	restored := 0
@@ -399,7 +399,7 @@ func runExact(tr *memtrace.FileReader, opt *IntervalOptions, traceID string, ivs
 		stored int
 	}
 	timing := opt.Timing != nil
-	outs, reports := sweep.MapTolerant(opt.Workers, len(segs), opt.Retry, func(si int) (chainOut, error) {
+	outs, failed := sweep.Map(opt.Workers, len(segs), sweep.Policy{Timeout: opt.Timeout}, func(si int) (chainOut, error) {
 		seg := segs[si]
 		s := seg.state
 		if s == nil {
@@ -442,7 +442,7 @@ func runExact(tr *memtrace.FileReader, opt *IntervalOptions, traceID string, ivs
 		}
 		return out, nil
 	})
-	if err := firstFailure(reports); err != nil {
+	if err := firstFailure(failed); err != nil {
 		return nil, err
 	}
 	for _, o := range outs {
@@ -468,7 +468,7 @@ func runExact(tr *memtrace.FileReader, opt *IntervalOptions, traceID string, ivs
 	for _, o := range outs {
 		snaps = append(snaps, o.snaps...)
 	}
-	tms, reports := sweep.MapTolerant(opt.Workers, len(ivs), opt.Retry, func(i int) (TimingResult, error) {
+	tms, failed := sweep.Map(opt.Workers, len(ivs), sweep.Policy{Timeout: opt.Timeout}, func(i int) (TimingResult, error) {
 		iv := ivs[i]
 		s, err := opt.newState()
 		if err != nil {
@@ -483,7 +483,7 @@ func runExact(tr *memtrace.FileReader, opt *IntervalOptions, traceID string, ivs
 		}
 		return opt.timeInterval(s, sec, iv, w)
 	})
-	if err := firstFailure(reports); err != nil {
+	if err := firstFailure(failed); err != nil {
 		return nil, err
 	}
 	merged, err := MergeTiming(tms)
@@ -517,7 +517,7 @@ func runSampled(tr *memtrace.FileReader, opt *IntervalOptions, traceID string, i
 		tm TimingResult
 	}
 	timing := opt.Timing != nil
-	outs, reports := sweep.MapTolerant(opt.Workers, len(measured), opt.Retry, func(mi int) (sampleOut, error) {
+	outs, failed := sweep.Map(opt.Workers, len(measured), sweep.Policy{Timeout: opt.Timeout}, func(mi int) (sampleOut, error) {
 		iv := ivs[measured[mi]]
 		s, err := opt.newState()
 		if err != nil {
@@ -552,7 +552,7 @@ func runSampled(tr *memtrace.FileReader, opt *IntervalOptions, traceID string, i
 		fn, err := s.MeasureFrom(sec, int(iv.Refs), iv.Start-w)
 		return sampleOut{fn: fn}, err
 	})
-	if err := firstFailure(reports); err != nil {
+	if err := firstFailure(failed); err != nil {
 		return nil, err
 	}
 
@@ -590,17 +590,14 @@ func runSampled(tr *memtrace.FileReader, opt *IntervalOptions, traceID string, i
 	return rep, nil
 }
 
-// firstFailure converts a tolerant sweep's reports into the
-// lowest-indexed final error, nil if every point (eventually)
-// succeeded — an interval run cannot tolerate holes: a missing
+// firstFailure is the lowest-indexed failed interval job, nil if every
+// job succeeded — an interval run cannot tolerate holes: a missing
 // interval would silently skew the merged counters.
-func firstFailure(reports []sweep.PointReport) error {
-	for _, r := range reports {
-		if r.Err != nil {
-			return fmt.Errorf("system: interval job %d failed after %d attempts: %w", r.Index, r.Attempts, r.Err)
-		}
+func firstFailure(failed []sweep.PointError) error {
+	if len(failed) == 0 {
+		return nil
 	}
-	return nil
+	return fmt.Errorf("system: interval run: %w", failed[0])
 }
 
 // MergeFunctional folds per-interval functional deltas, in trace

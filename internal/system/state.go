@@ -194,7 +194,7 @@ type SnapshotMeta struct {
 func (s *SimState) Snapshot(w io.Writer, meta SnapshotMeta) error {
 	ds, ok := s.design.(dcache.DesignState)
 	if !ok {
-		//fplint:ignore faulterr caller misconfiguration, not a damaged artifact; ClassUnknown (no retry, no quarantine) is right
+		//fplint:ignore faulterr caller misconfiguration, not a damaged artifact; ClassUnknown (no quarantine) is right
 		return fmt.Errorf("system: design %q does not support snapshots", s.design.Name())
 	}
 	return snap.WriteEnvelope(w, warmStateKind, warmStateVersion, func(sw *snap.Writer) {
@@ -224,7 +224,7 @@ func (s *SimState) Snapshot(w io.Writer, meta SnapshotMeta) error {
 func (s *SimState) Restore(r io.Reader, want SnapshotMeta) error {
 	ds, ok := s.design.(dcache.DesignState)
 	if !ok {
-		//fplint:ignore faulterr caller misconfiguration, not a damaged artifact; ClassUnknown (no retry, no quarantine) is right
+		//fplint:ignore faulterr caller misconfiguration, not a damaged artifact; ClassUnknown (no quarantine) is right
 		return fmt.Errorf("system: design %q does not support snapshots", s.design.Name())
 	}
 	return snap.ReadEnvelope(r, warmStateKind, warmStateVersion, func(sr *snap.Reader) error {

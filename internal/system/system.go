@@ -144,8 +144,8 @@ func RunFunctional(design dcache.Design, src memtrace.Source, warmupRefs, maxRef
 //
 // The returned error is a typed fault (fault.ErrInvalidOps) when the
 // design emits a malformed operation list; it fails this one run, and
-// the tolerant sweep executor turns it into a per-point failure report
-// instead of a process crash.
+// the sweep executor turns it into a per-point failure report instead
+// of a process crash.
 func RunFunctionalResized(design dcache.Design, src memtrace.Source, warmupRefs, maxRefs int, pol ResizePolicy) (FunctionalResult, error) {
 	s := NewSimState(design)
 	s.SetPolicy(pol)

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"fpcache/internal/dcache"
-	"fpcache/internal/fault"
 )
 
 // WarmCache is a content-keyed store of warm-state snapshots: one file
@@ -50,7 +49,7 @@ const staleTempAge = time.Hour
 // writing them.
 func NewWarmCache(dir string) (*WarmCache, error) {
 	if dir == "" {
-		//fplint:ignore faulterr caller misconfiguration, not a damaged artifact; ClassUnknown (no retry, no quarantine) is right
+		//fplint:ignore faulterr caller misconfiguration, not a damaged artifact; ClassUnknown (no quarantine) is right
 		return nil, fmt.Errorf("system: warm cache needs a directory")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -155,14 +154,11 @@ type QuarantineEvent struct {
 // Load restores the snapshot for key into s. On a hit it returns
 // (true, nil, nil); on a plain miss (false, nil, nil).
 //
-// A present-but-unreadable snapshot splits by fault class: a transient
-// I/O failure (fault.ErrTransientIO) is returned as the error — the
-// file may be fine, so it is not quarantined and the caller's retry
-// policy decides; any other restore failure (corruption, identity
-// mismatch, truncation) quarantines the entry and reports a miss with
-// the event. Either way a failed restore may have partially mutated s,
-// so the caller must rebuild its state fresh before warming cold or
-// retrying — never measure from a partially restored state.
+// A present-but-unreadable snapshot (corruption, identity mismatch,
+// truncation, a read error) quarantines the entry and reports a miss
+// with the event. A failed restore may have partially mutated s, so
+// the caller must rebuild its state fresh before warming cold — never
+// measure from a partially restored state.
 func (c *WarmCache) Load(key WarmKey, s *SimState) (bool, *QuarantineEvent, error) {
 	f, err := os.Open(c.path(key))
 	if os.IsNotExist(err) {
@@ -178,9 +174,6 @@ func (c *WarmCache) Load(key WarmKey, s *SimState) (bool, *QuarantineEvent, erro
 	}
 	if err := s.Restore(r, key.Meta()); err != nil {
 		err = fmt.Errorf("system: restoring warm state %s: %w", c.path(key), err)
-		if fault.Retryable(err) {
-			return false, nil, err
-		}
 		return false, c.quarantine(key, err), nil
 	}
 	return true, nil, nil
