@@ -60,10 +60,8 @@ func main() {
 		timeout   = flag.Duration("point-timeout", 0, "deadline for each simulation point (0 = none)")
 		tolerate  = flag.Bool("tolerate", false, "keep an experiment's surviving rows when points fail for good (failed cells degrade to zero and land in the failure report)")
 		faultSpec = flag.String("fault-spec", "", "inject scheduled faults, e.g. 'point:error:point=1;snapshot-read:flipbit:offset=40' (testing the fault tolerance itself)")
-		workers   int
+		workers   = flag.Int("j", 0, "parallel simulation points: 0 = all cores, 1 = serial")
 	)
-	flag.IntVar(&workers, "j", 0, "parallel simulation points: 0 = all cores, 1 = serial")
-	flag.IntVar(&workers, "parallel", 0, "alias for -j")
 	flag.Parse()
 
 	if *list {
@@ -84,7 +82,7 @@ func main() {
 		PointTimeout:       *timeout,
 		Tolerate:           *tolerate,
 		// Options treats 0 as serial; the CLI treats 0 as "all cores".
-		Workers: sweep.Workers(workers),
+		Workers: sweep.Workers(*workers),
 	}
 	if *faultSpec != "" {
 		inj, err := faultinject.Parse(*faultSpec)

@@ -14,16 +14,20 @@
 // instead of the synthetic generator — bit-identical results, no
 // generator cost.
 //
-// Warm state can be checkpointed and restored (§5.4's warmed
-// checkpoints): -checkpoint writes the post-warmup snapshot to a file
-// before measuring, and -restore loads one instead of simulating
-// warmup — the measured result is byte-identical either way.
+// Warm state persists across runs (§5.4's warmed checkpoints):
+// -state-cache names the content-keyed snapshot directory fpbench
+// uses. Each functional point warms once and stores its post-warmup
+// state; later runs of the same point, from either command, restore
+// it instead of simulating warmup — the measured result is
+// byte-identical either way. A -trace-in replay also keys its entries
+// by the trace file's content hash, so a state warmed on one stream
+// never continues another.
 //
 // A long recorded trace can be simulated interval-parallel
 // (DESIGN.md §11): -intervals splits the measured region into
 // chunk-aligned intervals that run concurrently on -j workers and
-// merge into the exact serial result; -interval-cache persists
-// boundary checkpoints so runs after the first parallelize fully;
+// merge into the exact serial result; with -state-cache the boundary
+// checkpoints persist too, so runs after the first parallelize fully;
 // -sample-every measures only every k-th interval (with an
 // -interval-warmup cold pre-roll) and reports confidence intervals.
 // -skip fast-forwards a replay into the middle of a recording via the
@@ -44,11 +48,10 @@
 //	fpsim -design page,footprint+banshee -capacity 64,256 -j 4
 //	fpsim -design footprint -trace-out run.trace
 //	fpsim -design footprint+hybrid -trace-in run.trace
-//	fpsim -design footprint -checkpoint warm.snap
-//	fpsim -design footprint -restore warm.snap
+//	fpsim -design page,footprint -state-cache .warm -j 2
 //	fpsim -design footprint -trace-in run.trace -skip 500000
 //	fpsim -design footprint -trace-in run.trace -intervals 8 -j 4
-//	fpsim -design footprint -trace-in run.trace -intervals 8 -interval-cache .ckpt
+//	fpsim -design footprint -trace-in run.trace -intervals 8 -state-cache .ckpt
 //	fpsim -design footprint -trace-in run.trace -intervals 16 -sample-every 4
 //	fpsim -design footprint+memcache:50 -resize 0.25,0.75 -resize-every 250000
 //	fpsim -design subblock+memlow:0 -adaptive
@@ -96,14 +99,12 @@ func main() {
 		adaptive  = flag.Bool("adaptive", false, "adaptive partition resizing: an online controller scores a telemetry window every epoch and hill-climbs the split (partitioned designs; -resize-every sets the epoch length)")
 		workers   = flag.Int("j", 0, "parallel simulation points: 0 = all cores, 1 = serial")
 		traceOut  = flag.String("trace-out", "", "record the reference stream to this trace file (functional mode, single point)")
-		traceIn   = flag.String("trace-in", "", "replay a recorded trace file instead of the generator (functional mode); '-' reads the trace from stdin")
+		traceIn   = flag.String("trace-in", "", "replay a recorded trace file instead of the generator (functional mode); '-' reads the trace from stdin, which also streams a v2 file whose chunk index is missing")
 		skip      = flag.Int("skip", 0, "fast-forward N trace records before the run via the chunk index (requires a seekable -trace-in file)")
 		intervals = flag.Int("intervals", 0, "split the measured region into N chunk-aligned intervals and simulate them in parallel on -j workers (requires a seekable -trace-in file, single point)")
-		intCache  = flag.String("interval-cache", "", "content-keyed checkpoint directory for interval boundary states: a cold run populates it, later runs restore and parallelize (requires -intervals)")
 		sampleK   = flag.Int("sample-every", 0, "sampled mode: measure every k-th interval after a cold pre-roll instead of chaining exact state (requires -intervals)")
 		sampleW   = flag.Int("interval-warmup", 0, "cold pre-roll records before each sampled interval (default: the interval's own length; requires -sample-every)")
-		checkpt   = flag.String("checkpoint", "", "write the post-warmup warm-state snapshot to this file, then measure (functional mode, single point)")
-		restore   = flag.String("restore", "", "restore the warm state from this snapshot instead of simulating warmup (functional mode, single point)")
+		stateDir  = flag.String("state-cache", "", "directory of content-keyed warm-state snapshots, shared with fpbench: each functional point (and each -intervals boundary checkpoint) warms once and later runs restore it (results byte-identical)")
 		timeout   = flag.Duration("point-timeout", 0, "deadline for each simulation point (0 = none)")
 		faultSpec = flag.String("fault-spec", "", "inject scheduled faults, e.g. 'point:error:point=1;trace-read:flipbit:offset=64' (testing the fault tolerance itself)")
 		list      = flag.Bool("list", false, "list workload, design, and policy names and exit")
@@ -124,23 +125,24 @@ func main() {
 	if *traceOut != "" && *traceIn != "" {
 		fail(fmt.Errorf("-trace-out and -trace-in are mutually exclusive"))
 	}
-	if (*checkpt != "" || *restore != "") && *mode != "functional" {
-		fail(fmt.Errorf("-checkpoint/-restore require -mode functional"))
-	}
-	if *checkpt != "" && *restore != "" {
-		fail(fmt.Errorf("-checkpoint and -restore are mutually exclusive"))
-	}
-	if (*checkpt != "" || *restore != "") && *traceOut != "" {
-		fail(fmt.Errorf("-checkpoint/-restore do not combine with -trace-out"))
-	}
 	if *skip > 0 {
 		switch {
 		case *traceIn == "":
 			fail(fmt.Errorf("-skip fast-forwards a recorded trace; it requires -trace-in"))
 		case *traceIn == "-":
 			fail(fmt.Errorf("-skip needs a seekable trace file to fast-forward via the chunk index; stdin is not seekable (replay from a file instead)"))
-		case *checkpt != "" || *restore != "":
-			fail(fmt.Errorf("-skip does not combine with -checkpoint/-restore (a restore already fast-forwards its warmup)"))
+		}
+	}
+	if *stateDir != "" {
+		switch {
+		case *traceIn == "-":
+			fail(fmt.Errorf("-state-cache does not combine with -trace-in - (stdin has no content identity to key entries by)"))
+		case *skip > 0:
+			fail(fmt.Errorf("-state-cache does not combine with -skip"))
+		case *faultSpec != "":
+			fail(fmt.Errorf("-state-cache does not combine with -fault-spec"))
+		case *mode == "timing" && *intervals <= 0:
+			fail(fmt.Errorf("-state-cache does not combine with -mode timing unless -intervals is set"))
 		}
 	}
 	if *intervals > 0 {
@@ -149,21 +151,28 @@ func main() {
 			fail(fmt.Errorf("-intervals simulates a recorded trace; it requires -trace-in"))
 		case *traceIn == "-":
 			fail(fmt.Errorf("-intervals needs a seekable trace file (each interval reads its own section); stdin is not seekable"))
-		case *traceOut != "" || *checkpt != "" || *restore != "":
-			fail(fmt.Errorf("-intervals does not combine with -trace-out/-checkpoint/-restore (use -interval-cache for boundary checkpoints)"))
+		case *traceOut != "":
+			fail(fmt.Errorf("-intervals does not combine with -trace-out"))
 		case *skip > 0:
 			fail(fmt.Errorf("-intervals does not combine with -skip"))
 		case *faultSpec != "":
 			fail(fmt.Errorf("-intervals does not combine with -fault-spec"))
 		}
-	} else if *intCache != "" || *sampleK != 0 || *sampleW != 0 {
-		fail(fmt.Errorf("-interval-cache/-sample-every/-interval-warmup require -intervals"))
+	} else if *sampleK != 0 || *sampleW != 0 {
+		fail(fmt.Errorf("-sample-every/-interval-warmup require -intervals"))
 	}
 
 	var inj *faultinject.Injector
 	if *faultSpec != "" {
 		var err error
 		if inj, err = faultinject.Parse(*faultSpec); err != nil {
+			fail(err)
+		}
+	}
+	var cache *system.WarmCache
+	if *stateDir != "" {
+		var err error
+		if cache, err = system.NewWarmCache(*stateDir); err != nil {
 			fail(err)
 		}
 	}
@@ -203,16 +212,15 @@ func main() {
 	}
 
 	// Cross product in declaration order: workload x design x capacity.
-	type point struct {
-		workload string
-		design   string
-		capMB    int
-	}
-	var pts []point
+	var pts []fpcache.Config
 	for _, wl := range workloads {
 		for _, d := range designs {
 			for _, mb := range capacities {
-				pts = append(pts, point{wl, d, mb})
+				pts = append(pts, fpcache.Config{
+					Workload: wl, Design: fpcache.DesignKind(d), PaperCapacityMB: mb,
+					Scale: *scale, Refs: *refs, WarmupRefs: *warmup, Seed: *seed,
+					ResizePeriodRefs: *resizeN, ResizeFractions: fractions, AdaptiveResize: *adaptive,
+				})
 			}
 		}
 	}
@@ -222,54 +230,30 @@ func main() {
 	if *traceOut != "" && len(pts) > 1 {
 		fail(fmt.Errorf("-trace-out records one run; got %d simulation points", len(pts)))
 	}
-	if (*checkpt != "" || *restore != "") && len(pts) > 1 {
-		fail(fmt.Errorf("-checkpoint/-restore address one run's warm state; got %d simulation points", len(pts)))
-	}
 	if *intervals > 0 {
 		if len(pts) > 1 {
 			fail(fmt.Errorf("-intervals parallelizes one run over its intervals; got %d simulation points (use -j without -intervals to sweep points)", len(pts)))
 		}
-		cfg := fpcache.Config{
-			Workload:         pts[0].workload,
-			Design:           fpcache.DesignKind(pts[0].design),
-			PaperCapacityMB:  pts[0].capMB,
-			Scale:            *scale,
-			Refs:             *refs,
-			WarmupRefs:       *warmup,
-			Seed:             *seed,
-			ResizePeriodRefs: *resizeN,
-			ResizeFractions:  fractions,
-			AdaptiveResize:   *adaptive,
-		}
-		if err := runIntervalPoint(os.Stdout, cfg, *mode, *traceIn, *intCache, *intervals, *sampleK, *sampleW, *workers, *timeout); err != nil {
+		if err := runIntervalPoint(os.Stdout, pts[0], *mode, *traceIn, cache, *intervals, *sampleK, *sampleW, *workers, *timeout); err != nil {
 			fail(err)
 		}
 		return
 	}
+	// Every point replays the same -trace-in file, so its content hash
+	// (part of each point's state-cache key) is computed once.
+	var traceID string
+	if cache != nil && *traceIn != "" {
+		var err error
+		if traceID, err = fileTraceID(*traceIn); err != nil {
+			fail(err)
+		}
+	}
 
 	job := func(i int) (string, error) {
-		p := pts[i]
-		cfg := fpcache.Config{
-			Workload:         p.workload,
-			Design:           fpcache.DesignKind(p.design),
-			PaperCapacityMB:  p.capMB,
-			Scale:            *scale,
-			Refs:             *refs,
-			WarmupRefs:       *warmup,
-			Seed:             *seed,
-			ResizePeriodRefs: *resizeN,
-			ResizeFractions:  fractions,
-			AdaptiveResize:   *adaptive,
-		}
+		cfg := pts[i]
 		var buf bytes.Buffer
 		if *mode == "functional" {
-			var res fpcache.FunctionalResult
-			var err error
-			if *checkpt != "" || *restore != "" {
-				res, err = runWarmStatePoint(cfg, *traceIn, *checkpt, *restore, inj)
-			} else {
-				res, err = runFunctionalPoint(cfg, *traceIn, *traceOut, *skip, inj)
-			}
+			res, err := runFunctional(cfg, *traceIn, *traceOut, *skip, inj, cache, traceID)
 			if err != nil {
 				return "", err
 			}
@@ -294,7 +278,7 @@ func main() {
 	for _, r := range failed {
 		p := pts[r.Index]
 		fmt.Fprintf(os.Stderr, "fpsim: %s/%s/%dMB failed [%s]: %v\n",
-			p.workload, p.design, p.capMB, fault.ClassOf(r.Err), r.Err)
+			p.Workload, p.Design, p.PaperCapacityMB, fault.ClassOf(r.Err), r.Err)
 	}
 	first := true
 	for _, rep := range reports {
@@ -332,80 +316,152 @@ func (t *teeSource) Next() (memtrace.Record, bool) {
 	return rec, true
 }
 
-// runFunctionalPoint runs one functional simulation, optionally
-// replaying its reference stream from a trace file (traceIn, "-" for
-// stdin) or recording it to one (traceOut). A recorded file contains
-// the whole stream — warmup prefix included — so a replay with the
-// same -warmup/-refs split reproduces the run bit-identically. A
-// positive skip fast-forwards that many records before the run via the
-// seekable reader's chunk index (no decode of the skipped prefix), so
-// one long recording serves runs over any of its regions.
-func runFunctionalPoint(cfg fpcache.Config, traceIn, traceOut string, skip int, inj *faultinject.Injector) (fpcache.FunctionalResult, error) {
+// runFunctional runs one functional simulation. Its reference stream
+// comes from the workload generator, from a trace file (traceIn, "-"
+// for stdin), or from the generator while recording to traceOut. A
+// recorded file contains the whole stream — warmup prefix included —
+// so a replay with the same -warmup/-refs split reproduces the run
+// bit-identically. A positive skip fast-forwards that many records
+// before the run via the file reader's chunk index (no decode of the
+// skipped prefix), so one long recording serves runs over any of its
+// regions. A trace file opens through the indexed reader, which
+// rejects a v2 file without its chunk index; such a file still
+// streams from stdin.
+//
+// With a state cache, the warm state comes from the cache (see
+// runCached) instead of simulating the warmup prefix; traceID is the
+// trace file's content hash (fileTraceID).
+func runFunctional(cfg fpcache.Config, traceIn, traceOut string, skip int, inj *faultinject.Injector, cache *system.WarmCache, traceID string) (fpcache.FunctionalResult, error) {
+	var (
+		src memtrace.Source
+		// done reports the source's deferred error once the run ends,
+		// flushing and closing a recording.
+		done func() error
+	)
 	switch {
+	case traceIn == "-":
+		r := memtrace.NewReader(inj.Reader(faultinject.SiteTraceRead, os.Stdin))
+		src, done = r, r.Err
 	case traceIn != "":
-		var src memtrace.Source
-		var srcErr func() error
-		if traceIn == "-" {
-			r := memtrace.NewReader(inj.Reader(faultinject.SiteTraceRead, os.Stdin))
-			src, srcErr = r, r.Err
-		} else {
-			f, err := os.Open(traceIn)
+		f, err := os.Open(traceIn)
+		if err != nil {
+			return fpcache.FunctionalResult{}, err
+		}
+		defer f.Close()
+		fr, err := memtrace.NewFileReader(inj.ReadSeeker(faultinject.SiteTraceRead, f))
+		if err != nil {
+			return fpcache.FunctionalResult{}, err
+		}
+		if skip > 0 {
+			skipped, err := fr.SkipRecords(skip)
 			if err != nil {
 				return fpcache.FunctionalResult{}, err
 			}
-			defer f.Close()
-			if skip > 0 {
-				fr, err := memtrace.NewFileReader(inj.ReadSeeker(faultinject.SiteTraceRead, f))
-				if err != nil {
-					return fpcache.FunctionalResult{}, err
-				}
-				skipped, err := fr.SkipRecords(skip)
-				if err != nil {
-					return fpcache.FunctionalResult{}, err
-				}
-				if skipped < skip {
-					return fpcache.FunctionalResult{}, fmt.Errorf("trace %s holds only %d of the %d records -skip requested", traceIn, skipped, skip)
-				}
-				src, srcErr = fr, fr.Err
-			} else {
-				r := memtrace.NewReader(inj.Reader(faultinject.SiteTraceRead, f))
-				src, srcErr = r, r.Err
+			if skipped < skip {
+				return fpcache.FunctionalResult{}, fmt.Errorf("trace %s holds only %d of the %d records -skip requested", traceIn, skipped, skip)
 			}
 		}
-		res, err := fpcache.RunFunctionalSource(cfg, src)
-		if err == nil {
-			err = srcErr()
-		}
-		if err == nil && res.Refs < uint64(cfg.Refs) {
-			// A short trace silently truncates the run; surface it so a
-			// result never masquerades as a longer measurement.
-			err = fmt.Errorf("trace %s exhausted after %d measured references (want %d; check -warmup/-refs against the recording)",
-				traceIn, res.Refs, cfg.Refs)
-		}
-		return res, err
-	case traceOut != "":
-		src, _, err := fpcache.NewTrace(cfg)
-		if err != nil {
-			return fpcache.FunctionalResult{}, err
-		}
-		f, err := os.Create(traceOut)
-		if err != nil {
-			return fpcache.FunctionalResult{}, err
-		}
-		tee := &teeSource{src: src, w: memtrace.NewWriter(f)}
-		res, err := fpcache.RunFunctionalSource(cfg, tee)
-		if err == nil {
-			err = tee.err
-		}
-		if ferr := tee.w.Flush(); err == nil {
-			err = ferr
-		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		return res, err
+		src, done = fr, fr.Err
 	default:
-		return fpcache.RunFunctional(cfg)
+		gen, _, err := fpcache.NewTrace(cfg)
+		if err != nil {
+			return fpcache.FunctionalResult{}, err
+		}
+		src, done = gen, func() error { return nil }
+		if traceOut != "" {
+			f, err := os.Create(traceOut)
+			if err != nil {
+				return fpcache.FunctionalResult{}, err
+			}
+			tee := &teeSource{src: gen, w: memtrace.NewWriter(f)}
+			src, done = tee, func() error {
+				err := tee.err
+				if ferr := tee.w.Flush(); err == nil {
+					err = ferr
+				}
+				if cerr := f.Close(); err == nil {
+					err = cerr
+				}
+				return err
+			}
+		}
+	}
+
+	var res fpcache.FunctionalResult
+	var err error
+	if cache != nil && effectiveWarmup(cfg) > 0 {
+		res, err = runCached(cfg, src, traceID, cache)
+	} else {
+		res, err = fpcache.RunFunctionalSource(cfg, src)
+	}
+	// A source error explains the failure it causes downstream (a
+	// corrupt trace cuts the warmup short), so it takes precedence.
+	if derr := done(); derr != nil {
+		err = derr
+	}
+	if err == nil && traceIn != "" && res.Refs < uint64(cfg.Refs) {
+		// A short trace silently truncates the run; surface it so a
+		// result never masquerades as a longer measurement.
+		err = fmt.Errorf("trace %s exhausted after %d measured references (want %d; check -warmup/-refs against the recording)",
+			traceIn, res.Refs, cfg.Refs)
+	}
+	return res, err
+}
+
+// fileTraceID returns a trace file's content hash, the identity its
+// state-cache entries are keyed by.
+func fileTraceID(path string) (string, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return "", err
+	}
+	defer f.Close()
+	fr, err := memtrace.NewFileReader(f)
+	if err != nil {
+		return "", err
+	}
+	return fr.TraceID()
+}
+
+// runCached measures cfg from the warm state system.WarmCache.Warm
+// returns for the point: restored (the warmup records of src skipped)
+// or warmed and stored. The key is the one fpbench builds for the same
+// point, so the two commands share entries; a trace-file replay adds
+// the file's content hash (traceID) and the warmup boundary, so a
+// state warmed on one stream never continues another. A quarantined
+// entry is reported on stderr; the point still measures, cold.
+func runCached(cfg fpcache.Config, src memtrace.Source, traceID string, cache *system.WarmCache) (fpcache.FunctionalResult, error) {
+	if cfg.Refs <= 0 {
+		return fpcache.FunctionalResult{}, fmt.Errorf("-refs must be positive")
+	}
+	key := system.WarmKey{
+		Workload:   cfg.Workload,
+		Seed:       cfg.Seed,
+		Scale:      cfg.Scale,
+		WarmupRefs: effectiveWarmup(cfg),
+		Spec:       designSpec(cfg),
+	}
+	if traceID != "" {
+		key.TraceID, key.AtRecord = traceID, uint64(key.WarmupRefs)
+	}
+	state, quarantined, err := cache.Warm(key, src)
+	if quarantined != nil {
+		fmt.Fprintf(os.Stderr, "fpsim: %s/%s/%dMB: quarantined warm state [%s]: %v\n",
+			cfg.Workload, cfg.Design, cfg.PaperCapacityMB, fault.ClassOf(quarantined.Err), quarantined.Err)
+	}
+	if err != nil {
+		return fpcache.FunctionalResult{}, err
+	}
+	state.SetPolicy(cfg.ResizePolicy())
+	return state.Measure(src, cfg.Refs)
+}
+
+// designSpec is cfg's design as the state cache keys it.
+func designSpec(cfg fpcache.Config) system.DesignSpec {
+	return system.DesignSpec{
+		Kind:            string(cfg.Design),
+		PaperCapacityMB: cfg.PaperCapacityMB,
+		Scale:           cfg.Scale,
 	}
 }
 
@@ -422,107 +478,18 @@ func effectiveWarmup(cfg fpcache.Config) int {
 	}
 }
 
-// runWarmStatePoint runs one functional simulation through the
-// warm-state checkpoint machinery: with restore, the design's warm
-// state loads from a snapshot and the warmup prefix is skipped (not
-// simulated — seeked past via the chunk index when the trace file is
-// indexed); with checkpoint, the state warms normally and the
-// snapshot is written before measurement. Either way the measured
-// result is byte-identical to an uninterrupted run. The snapshot
-// stores the run identity (workload, seed, scale, warmup), so a
-// restore under different flags fails instead of silently measuring a
-// different run.
-func runWarmStatePoint(cfg fpcache.Config, traceIn, checkpoint, restore string, inj *faultinject.Injector) (fpcache.FunctionalResult, error) {
-	design, err := fpcache.NewDesign(cfg)
-	if err != nil {
-		return fpcache.FunctionalResult{}, err
-	}
-	var src memtrace.Source
-	var srcErr func() error
-	if traceIn != "" {
-		f, err := os.Open(traceIn)
-		if err != nil {
-			return fpcache.FunctionalResult{}, err
-		}
-		defer f.Close()
-		// The seekable reader lets a restore fast-forward warmup via
-		// the v2 chunk index (or v1 arithmetic) instead of decoding it.
-		r, err := memtrace.NewFileReader(inj.ReadSeeker(faultinject.SiteTraceRead, f))
-		if err != nil {
-			return fpcache.FunctionalResult{}, err
-		}
-		src, srcErr = r, r.Err
-	} else {
-		src, _, err = fpcache.NewTrace(cfg)
-		if err != nil {
-			return fpcache.FunctionalResult{}, err
-		}
-	}
-
-	state := system.NewSimState(design)
-	// The resize policy is part of the simulation state (a stateful
-	// policy's window snapshots with it), so it installs before the
-	// restore/warm branch, not after.
-	state.SetPolicy(cfg.ResizePolicy())
-	warmup := effectiveWarmup(cfg)
-	meta := system.SnapshotMeta{Workload: cfg.Workload, Seed: cfg.Seed, Scale: cfg.Scale, WarmupRefs: warmup}
-	if restore != "" {
-		f, err := os.Open(restore)
-		if err != nil {
-			return fpcache.FunctionalResult{}, err
-		}
-		rerr := state.Restore(f, meta)
-		f.Close()
-		if rerr != nil {
-			return fpcache.FunctionalResult{}, rerr
-		}
-		if skipped := memtrace.Skip(src, warmup); skipped != warmup {
-			return fpcache.FunctionalResult{}, fmt.Errorf("trace exhausted after %d of %d warmup records", skipped, warmup)
-		}
-	} else {
-		if err := state.Warm(src, warmup); err != nil {
-			return fpcache.FunctionalResult{}, err
-		}
-		f, err := os.Create(checkpoint)
-		if err != nil {
-			return fpcache.FunctionalResult{}, err
-		}
-		serr := state.Snapshot(f, meta)
-		if cerr := f.Close(); serr == nil {
-			serr = cerr
-		}
-		if serr != nil {
-			return fpcache.FunctionalResult{}, serr
-		}
-	}
-
-	res, err := state.Measure(src, cfg.Refs)
-	if err != nil {
-		return res, err
-	}
-	if srcErr != nil {
-		if err := srcErr(); err != nil {
-			return res, err
-		}
-	}
-	if res.Refs < uint64(cfg.Refs) {
-		return res, fmt.Errorf("trace exhausted after %d measured references (want %d)", res.Refs, cfg.Refs)
-	}
-	return res, nil
-}
-
 // runIntervalPoint runs one trace through the interval-parallel
 // runner (DESIGN.md §11): the measured region splits into chunk-aligned
 // intervals that simulate concurrently on -j workers and merge into the
 // exact serial result — the standard report block prints unchanged, so
 // output can be diffed against a serial replay, followed by
-// "interval"-prefixed plan lines. With -interval-cache, boundary
+// "interval"-prefixed plan lines. With a state cache, boundary
 // checkpoints persist: the first (cold) run executes serially while
 // storing them, and later runs restore and parallelize. With
 // -sample-every, only every k-th interval is measured after a cold
 // pre-roll, and the report carries the hit-ratio confidence interval
 // that approximation costs.
-func runIntervalPoint(w io.Writer, cfg fpcache.Config, mode, traceIn, cacheDir string, intervals, sampleK, sampleW, workers int, timeout time.Duration) error {
+func runIntervalPoint(w io.Writer, cfg fpcache.Config, mode, traceIn string, cache *system.WarmCache, intervals, sampleK, sampleW, workers int, timeout time.Duration) error {
 	f, err := os.Open(traceIn)
 	if err != nil {
 		return err
@@ -533,11 +500,7 @@ func runIntervalPoint(w io.Writer, cfg fpcache.Config, mode, traceIn, cacheDir s
 		return err
 	}
 	opt := system.IntervalOptions{
-		Spec: system.DesignSpec{
-			Kind:            string(cfg.Design),
-			PaperCapacityMB: cfg.PaperCapacityMB,
-			Scale:           cfg.Scale,
-		},
+		Spec:       designSpec(cfg),
 		Workload:   cfg.Workload,
 		Seed:       cfg.Seed,
 		Scale:      cfg.Scale,
@@ -546,6 +509,7 @@ func runIntervalPoint(w io.Writer, cfg fpcache.Config, mode, traceIn, cacheDir s
 		Intervals:  intervals, Workers: workers,
 		SampleEvery: sampleK, SampleWarmup: sampleW,
 		Timeout: timeout,
+		Cache:   cache,
 	}
 	switch {
 	case cfg.AdaptiveResize:
@@ -553,13 +517,6 @@ func runIntervalPoint(w io.Writer, cfg fpcache.Config, mode, traceIn, cacheDir s
 		opt.Adaptive = &ac
 	case cfg.ResizePeriodRefs > 0 && len(cfg.ResizeFractions) > 0:
 		opt.Plan = &system.ResizePlan{PeriodRefs: cfg.ResizePeriodRefs, Fractions: cfg.ResizeFractions}
-	}
-	if cacheDir != "" {
-		cache, err := system.NewWarmCache(cacheDir)
-		if err != nil {
-			return err
-		}
-		opt.Cache = cache
 	}
 	if mode == "timing" {
 		// The timing engine needs the workload's core count and MLP; the

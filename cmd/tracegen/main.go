@@ -5,12 +5,12 @@
 // Format v1 (the default) is a flat fixed-width record dump; -v2
 // writes trace format v2 — delta/varint-compressed records in
 // independently decodable, CRC-protected chunks with a trailing chunk
-// index, which seekable readers (memtrace.FileReader, fpsim -restore
-// fast-forwarding) use to jump to any record without decoding the
-// prefix. -index inspects an existing trace file of either version;
-// -verify is the trace fsck — it walks every chunk (CRC, framing, full
-// record decode, index agreement) and exits non-zero naming the first
-// corrupt chunk and offset.
+// index, which seekable readers (memtrace.FileReader, fpsim -skip and
+// -state-cache fast-forwarding) use to jump to any record without
+// decoding the prefix. -index inspects an existing trace file of
+// either version; -verify is the trace fsck — it walks every chunk
+// (CRC, framing, full record decode, index agreement) and exits
+// non-zero naming the first corrupt chunk and offset.
 //
 // Usage:
 //

@@ -195,7 +195,7 @@ type Config struct {
 // adaptive controller when AdaptiveResize is set, the static schedule
 // when ResizePeriodRefs/ResizeFractions are, nil otherwise. The run
 // helpers call it internally; CLIs driving SimState directly install
-// it with SimState.SetPolicy before warming or restoring.
+// it with SimState.SetPolicy before measuring.
 func (c Config) ResizePolicy() system.ResizePolicy {
 	if c.AdaptiveResize {
 		return system.NewAdaptivePolicy(c.AdaptiveConfig())

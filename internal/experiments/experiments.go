@@ -397,15 +397,12 @@ func (o Options) warmCache() (*system.WarmCache, error) {
 	return cache, nil
 }
 
-// warmState builds the point's warm simulation state — restored from
-// the state cache when a snapshot exists, warmed from the trace (and
-// stored) otherwise — returning the trace source positioned at the
-// first measured reference.
-//
-// The cache can only accelerate the point, never poison it: a corrupt
-// or identity-mismatched entry is quarantined by the cache, recorded
-// in the failure report, and the point rebuilds its design and warms
-// cold — producing rows byte-identical to a never-cached run.
+// warmState builds the point's warm simulation state through the
+// state cache (system.WarmCache.Warm), returning the trace source
+// positioned at the first measured reference. A quarantined cache
+// entry is recorded in the failure report; the cache has already
+// rebuilt the state and warmed it cold, so the point's rows are
+// byte-identical to a never-cached run.
 func (o Options) warmState(spec system.DesignSpec, workload string) (*system.SimState, memtrace.Source, synth.Profile, error) {
 	src, prof, err := o.trace(workload)
 	if err != nil {
@@ -415,22 +412,13 @@ func (o Options) warmState(spec system.DesignSpec, workload string) (*system.Sim
 	if err != nil {
 		return nil, nil, synth.Profile{}, err
 	}
-	key := system.WarmKey{
+	state, quarantined, err := cache.Warm(system.WarmKey{
 		Workload:   workload,
 		Seed:       o.Seed,
 		Scale:      o.Scale,
 		WarmupRefs: o.WarmupRefs,
 		Spec:       spec,
-	}
-	design, err := system.BuildDesign(spec)
-	if err != nil {
-		return nil, nil, synth.Profile{}, err
-	}
-	state := system.NewSimState(design)
-	hit, quarantined, err := cache.Load(key, state)
-	if err != nil {
-		return nil, nil, synth.Profile{}, err
-	}
+	}, src)
 	if quarantined != nil {
 		class := fault.ClassOf(quarantined.Err)
 		if class == fault.ClassUnknown {
@@ -445,22 +433,8 @@ func (o Options) warmState(spec system.DesignSpec, workload string) (*system.Sim
 			Disposition: DispositionQuarantined,
 			Error:       quarantined.Err.Error(),
 		})
-		// The failed restore may have partially mutated the state;
-		// rebuild it fresh before the cold warmup.
-		design, err = system.BuildDesign(spec)
-		if err != nil {
-			return nil, nil, synth.Profile{}, err
-		}
-		state = system.NewSimState(design)
 	}
-	if hit {
-		memtrace.Skip(src, o.WarmupRefs)
-		return state, src, prof, nil
-	}
-	if err := state.Warm(src, o.WarmupRefs); err != nil {
-		return nil, nil, synth.Profile{}, err
-	}
-	if err := cache.Store(key, state); err != nil {
+	if err != nil {
 		return nil, nil, synth.Profile{}, err
 	}
 	return state, src, prof, nil

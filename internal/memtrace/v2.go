@@ -683,7 +683,9 @@ func (fr *FileReader) Verify() error {
 }
 
 // SkipRecords discards up to n records by seeking, returning how many
-// were skipped (fewer only at end-of-trace).
+// were skipped (fewer only at end-of-trace). A failed seek is the
+// reader's error too (Err), so a caller that counts skipped records
+// still learns why.
 func (fr *FileReader) SkipRecords(n int) (int, error) {
 	if n <= 0 || fr.err != nil {
 		return 0, fr.err
@@ -693,6 +695,7 @@ func (fr *FileReader) SkipRecords(n int) (int, error) {
 		k = left
 	}
 	if err := fr.SeekRecord(fr.next + k); err != nil {
+		fr.fail(err)
 		return 0, err
 	}
 	return int(k), nil

@@ -85,11 +85,12 @@ func (s *SimState) Policy() ResizePolicy { return s.pol }
 // run steps up to n records (n <= 0 drains the source) through the
 // design, replaying each outcome's ops and then any resize
 // transition's ops into the trackers. pol and startRefs set the
-// stepper's epoch schedule. Returns the instruction count, and a typed
-// error (fault.ErrInvalidOps) if the design emitted a structurally
-// invalid op list — the run stops at the offending reference so one
-// bad composition fails one sweep point, never the process.
-func (s *SimState) run(src memtrace.Source, n int, pol ResizePolicy, startRefs uint64) (uint64, error) {
+// stepper's epoch schedule. Returns the instruction count, the number
+// of records stepped, and a typed error (fault.ErrInvalidOps) if the
+// design emitted a structurally invalid op list — the run stops at the
+// offending reference so one bad composition fails one sweep point,
+// never the process.
+func (s *SimState) run(src memtrace.Source, n int, pol ResizePolicy, startRefs uint64) (instrs, steps uint64, err error) {
 	st := newStepper(s.design, src, n, pol, startRefs, s.ops)
 	for st.next() {
 		applyOps(st.out.Ops, s.offT, s.stkT)
@@ -98,18 +99,25 @@ func (s *SimState) run(src memtrace.Source, n int, pol ResizePolicy, startRefs u
 		}
 	}
 	s.ops = st.out.Ops
-	return st.instrs, st.err
+	return st.instrs, st.pos - startRefs, st.err
 }
 
 // Warm replays n records through the design and trackers without
 // measuring — the warmup phase of a functional or timing run, and the
 // state a snapshot captures.
 func (s *SimState) Warm(src memtrace.Source, n int) error {
-	if n <= 0 {
-		return nil
-	}
-	_, err := s.run(src, n, nil, 0)
+	_, err := s.warm(src, n)
 	return err
+}
+
+// warm is Warm reporting how many records it stepped: fewer than n
+// when the source ended or failed first.
+func (s *SimState) warm(src memtrace.Source, n int) (int, error) {
+	if n <= 0 {
+		return 0, nil
+	}
+	_, steps, err := s.run(src, n, nil, 0)
+	return int(steps), err
 }
 
 // Measure runs up to maxRefs records (maxRefs <= 0 drains the source)
@@ -144,7 +152,7 @@ func (s *SimState) MeasureFrom(src memtrace.Source, maxRefs int, measuredBefore 
 	}
 
 	res := FunctionalResult{Design: s.design.Name()}
-	instrs, err := s.run(src, maxRefs, s.pol, measuredBefore)
+	instrs, _, err := s.run(src, maxRefs, s.pol, measuredBefore)
 	res.Instructions = instrs
 	res.Counters = s.design.Counters().Sub(ctr0)
 	res.Refs = res.Counters.Accesses()
@@ -166,8 +174,7 @@ func (s *SimState) MeasureFrom(src memtrace.Source, maxRefs int, measuredBefore 
 // state. Restore requires an exact match, so a snapshot taken under
 // one (workload, seed, scale, warmup) can never silently continue a
 // different run — the same guarantee WarmCache gets from its content
-// key, enforced inside the snapshot itself for manual checkpoint
-// files (fpsim -checkpoint/-restore).
+// key, enforced again inside the snapshot itself.
 type SnapshotMeta struct {
 	// Workload names the trace source (a label for replayed trace
 	// files; the generator profile for synthetic runs).
@@ -177,11 +184,11 @@ type SnapshotMeta struct {
 	Scale float64
 	// WarmupRefs is the warmup prefix length the state consumed.
 	WarmupRefs int
-	// TraceID names the trace content an interval checkpoint belongs
-	// to (the trace file's content hash), and AtRecord is the absolute
-	// record index the state was captured at. Both are zero for
-	// whole-run warmup snapshots, so an interval checkpoint can never
-	// silently continue a whole-run restore or vice versa.
+	// TraceID names the trace content a state was captured from (the
+	// trace file's content hash), and AtRecord is the absolute record
+	// index it was captured at. Both are zero for generator warmup
+	// snapshots, so a state warmed on one stream can never silently
+	// continue another.
 	TraceID  string
 	AtRecord uint64
 }

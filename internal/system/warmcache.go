@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"fpcache/internal/dcache"
+	"fpcache/internal/memtrace"
 )
 
 // WarmCache is a content-keyed store of warm-state snapshots: one file
@@ -95,12 +96,14 @@ type WarmKey struct {
 	Scale    float64
 	// WarmupRefs is the warmup prefix length.
 	WarmupRefs int
-	// TraceID and AtRecord identify an interval checkpoint: the trace
-	// file's content hash and the absolute record index the state was
-	// captured at. Whole-run warmup snapshots leave both zero. They
-	// participate in the content key, so an interval checkpoint can
-	// never collide with a whole-run snapshot of the same point — or
-	// with a checkpoint of different trace content at the same index.
+	// TraceID and AtRecord identify a state captured from a trace
+	// file: the file's content hash and the absolute record index the
+	// state was captured at (the warmup boundary for a whole-run
+	// replay, an interval start for an interval checkpoint). Generator
+	// warmup snapshots leave both zero. They participate in the content
+	// key, so a state warmed on one stream can never continue another —
+	// generated or recorded, at a different index, or of different
+	// trace content.
 	TraceID  string
 	AtRecord uint64
 	// Spec is the design configuration (all fields participate).
@@ -157,8 +160,8 @@ type QuarantineEvent struct {
 // A present-but-unreadable snapshot (corruption, identity mismatch,
 // truncation, a read error) quarantines the entry and reports a miss
 // with the event. A failed restore may have partially mutated s, so
-// the caller must rebuild its state fresh before warming cold — never
-// measure from a partially restored state.
+// the caller must rebuild its state fresh before warming cold, as Warm
+// does — never measure from a partially restored state.
 func (c *WarmCache) Load(key WarmKey, s *SimState) (bool, *QuarantineEvent, error) {
 	f, err := os.Open(c.path(key))
 	if os.IsNotExist(err) {
@@ -177,6 +180,58 @@ func (c *WarmCache) Load(key WarmKey, s *SimState) (bool, *QuarantineEvent, erro
 		return false, c.quarantine(key, err), nil
 	}
 	return true, nil, nil
+}
+
+// Warm returns key's warm state with src positioned at the first
+// measured record. On a hit the state is restored and the warmup
+// records of src are skipped, not simulated; on a miss the state is
+// built from key.Spec, warmed over key.WarmupRefs records of src, and
+// stored. A source that ends or fails inside the warmup prefix is an
+// error either way (the source's own error, if it has one, says why):
+// a state warmed on a truncated prefix is never stored, and a restored
+// one never continues a stream it skipped short.
+//
+// A quarantined entry comes back as the event (alongside any later
+// error): the failed restore may have partially mutated the state, so
+// it is rebuilt fresh and warmed cold — the result is byte-identical
+// to a never-cached run.
+func (c *WarmCache) Warm(key WarmKey, src memtrace.Source) (*SimState, *QuarantineEvent, error) {
+	fresh := func() (*SimState, error) {
+		d, err := BuildDesign(key.Spec)
+		if err != nil {
+			return nil, err
+		}
+		return NewSimState(d), nil
+	}
+	s, err := fresh()
+	if err != nil {
+		return nil, nil, err
+	}
+	hit, ev, err := c.Load(key, s)
+	if err != nil {
+		return nil, nil, err
+	}
+	if ev != nil {
+		if s, err = fresh(); err != nil {
+			return nil, ev, err
+		}
+	}
+	n := key.WarmupRefs
+	if hit {
+		n = memtrace.Skip(src, n)
+	} else if n, err = s.warm(src, n); err != nil {
+		return nil, ev, err
+	}
+	if n != key.WarmupRefs {
+		//fplint:ignore faulterr a short source is the caller's to explain (a trace's own Err reports corruption); ClassUnknown (no quarantine) is right
+		return nil, ev, fmt.Errorf("system: source ended after %d of %d warmup records", n, key.WarmupRefs)
+	}
+	if !hit {
+		if err := c.Store(key, s); err != nil {
+			return nil, ev, err
+		}
+	}
+	return s, ev, nil
 }
 
 // quarantine moves a corrupt snapshot aside (best effort: deleted if

@@ -1,6 +1,8 @@
 package system
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"os"
@@ -8,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"fpcache/internal/memtrace"
 	"fpcache/internal/synth"
 )
 
@@ -276,5 +279,96 @@ func TestWarmKeyIntervalIdentity(t *testing.T) {
 	}
 	if ev == nil {
 		t.Fatal("identity mismatch did not quarantine the entry")
+	}
+}
+
+// TestWarmCacheWarm pins the load-or-warm contract: a miss warms and
+// stores, a hit restores and skips the warmup records, and a corrupt
+// entry is quarantined and warmed cold into a freshly built state.
+// Each leaves the source at the first measured record, so all three
+// measure exactly what an uncached run does.
+func TestWarmCacheWarm(t *testing.T) {
+	const scale, warmup, refs = 1.0 / 64, 10_000, 10_000
+	spec := DesignSpec{Kind: KindFootprint, PaperCapacityMB: 64, Scale: scale}
+	key := WarmKey{Workload: synth.WebSearch, Seed: 11, Scale: scale, WarmupRefs: warmup, Spec: spec}
+	d, err := BuildDesign(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := json.Marshal(mustFunctional(RunFunctional(d, snapTrace(t, scale), warmup, refs)))
+
+	dir := t.TempDir()
+	cache, err := NewWarmCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	measure := func(stage string) *QuarantineEvent {
+		t.Helper()
+		src := snapTrace(t, scale)
+		s, ev, err := cache.Warm(key, src)
+		if err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+		got, _ := json.Marshal(mustFunctional(s.Measure(src, refs)))
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s run diverges from the uncached run\nwant %s\ngot  %s", stage, want, got)
+		}
+		return ev
+	}
+
+	if ev := measure("cold"); ev != nil {
+		t.Fatalf("cold run quarantined: %v", ev.Err)
+	}
+	path := filepath.Join(dir, key.Hash()+".warm")
+	stored, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("cold run stored no entry: %v", err)
+	}
+	if ev := measure("warm"); ev != nil {
+		t.Fatalf("warm run quarantined: %v", ev.Err)
+	}
+
+	// Corrupt a byte deep in the design payload, so the restore fails
+	// after mutating part of the state.
+	bad := append([]byte(nil), stored...)
+	bad[len(bad)/2] ^= 0x40
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if ev := measure("quarantined"); ev == nil {
+		t.Fatal("corrupt entry restored without a quarantine event")
+	}
+	restored, err := os.ReadFile(path)
+	if err != nil || !bytes.Equal(restored, stored) {
+		t.Fatalf("quarantined run did not re-store the entry (err %v)", err)
+	}
+}
+
+// TestWarmCacheWarmRefusesShortSource pins that a source ending inside
+// the warmup prefix fails the point instead of yielding a state warmed
+// on the truncated prefix: a miss stores nothing, and a hit whose skip
+// comes up short is an error too.
+func TestWarmCacheWarmRefusesShortSource(t *testing.T) {
+	const scale, warmup = 1.0 / 64, 10_000
+	key := WarmKey{Workload: synth.WebSearch, Seed: 11, Scale: scale, WarmupRefs: warmup,
+		Spec: DesignSpec{Kind: KindFootprint, PaperCapacityMB: 64, Scale: scale}}
+	dir := t.TempDir()
+	cache, err := NewWarmCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := func() memtrace.Source { return &memtrace.Limit{Src: snapTrace(t, scale), N: warmup / 2} }
+
+	if _, _, err := cache.Warm(key, short()); err == nil {
+		t.Fatal("cold warmup over a short source succeeded")
+	}
+	if _, err := os.Stat(filepath.Join(dir, key.Hash()+".warm")); !os.IsNotExist(err) {
+		t.Fatalf("short warmup stored an entry (stat err %v)", err)
+	}
+	if _, _, err := cache.Warm(key, snapTrace(t, scale)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := cache.Warm(key, short()); err == nil {
+		t.Fatal("restore over a short source succeeded")
 	}
 }
