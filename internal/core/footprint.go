@@ -348,7 +348,7 @@ func (c *Cache) Access(rec memtrace.Record, ops []dcache.Op) dcache.Outcome {
 	entry := pageEntry{fhtPtr: ptr, predicted: footprint}
 	entry.vec.Fill(footprint)
 	entry.vec.Demand(block, rec.Write)
-	c.tags.Insert(set, tag, entry)
+	c.tags.Replace(victim, tag, entry)
 	c.ctr.PageAllocs++
 	return dcache.Outcome{TagCycles: c.cfg.TagCycles, Ops: ops}
 }

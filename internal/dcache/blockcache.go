@@ -167,7 +167,7 @@ func (b *BlockCache) Access(rec memtrace.Record, ops []Op) Outcome {
 		}
 		b.clearPresence(victimAddr)
 	}
-	b.blocks.Insert(set, tag, blockMeta{dirty: rec.Write})
+	b.blocks.Replace(victim, tag, blockMeta{dirty: rec.Write})
 	b.ctr.PageAllocs++ // block allocations; name kept for uniform reporting
 	// Data + tag-update CAS under one activation.
 	ops = append(ops, Op{Level: Stacked, Addr: b.rowBase(set), Bytes: 2 * 64, Write: true, DependsOn: crit})

@@ -3,6 +3,7 @@ package dcache
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"fpcache/internal/memtrace"
 	"fpcache/internal/sram"
@@ -20,6 +21,20 @@ func mustBlock(t *testing.T) *BlockCache {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// TestTagEntrySize pins the set-associative entry layout: the block
+// design's tag array holds one entry per cached 64B block (about a
+// quarter of a million for a 256MB point at the default 1/16 scale), so
+// a field added to sram.Entry shows up here rather than in a sweep's
+// peak RSS.
+func TestTagEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(sram.Entry[blockMeta]{}); got != 24 {
+		t.Errorf("sram.Entry[blockMeta] is %d bytes, want 24", got)
+	}
+	if got := unsafe.Sizeof(sram.Entry[uint64]{}); got != 32 {
+		t.Errorf("sram.Entry[uint64] is %d bytes, want 32", got)
+	}
 }
 
 func TestBlockCacheConfigValidation(t *testing.T) {

@@ -259,7 +259,7 @@ func (e *Engine) Access(rec memtrace.Record, ops []Op) Outcome {
 	if rec.Write {
 		meta.Dirty = bit
 	}
-	e.tags.Insert(set, tag, meta)
+	e.tags.Replace(victim, tag, meta)
 	e.ctr.PageAllocs++
 	return Outcome{TagCycles: e.tagCycles, Ops: ops}
 }
@@ -350,7 +350,7 @@ func (e *Engine) ResizeSets(newSets int, ops []Op) ([]Op, ResizeDelta) {
 			}
 			newFrame := e.frame(ns, victim.Way())
 			ops = e.moveOps(meta, oldFrame, newFrame, ops)
-			e.tags.Insert(ns, page, meta)
+			e.tags.Replace(victim, page, meta)
 			d.Moved++
 		}
 	}

@@ -208,7 +208,7 @@ func (p *PageCache) Access(rec memtrace.Record, ops []Op) Outcome {
 	if rec.Write {
 		meta.Dirty = bit
 	}
-	p.tags.Insert(set, tag, meta)
+	p.tags.Replace(victim, tag, meta)
 	p.ctr.PageAllocs++
 	return Outcome{TagCycles: p.tagCycles, Ops: ops}
 }

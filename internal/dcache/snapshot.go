@@ -29,7 +29,7 @@ import (
 // fires, update the codec, bump this const, and refresh the directive.
 //
 //fplint:snapfields 0x21ff85e3
-const SnapshotVersion = 1
+const SnapshotVersion = 2
 
 // snapshotKind is the envelope kind of a standalone design snapshot.
 const snapshotKind = "fpcache-design"

@@ -138,7 +138,7 @@ func (s *SubblockCache) Access(rec memtrace.Record, ops []Op) Outcome {
 	if rec.Write {
 		meta.Dirty = bit
 	}
-	s.tags.Insert(set, tag, meta)
+	s.tags.Replace(victim, tag, meta)
 	s.ctr.PageAllocs++
 	return Outcome{TagCycles: s.tagCycles, Ops: ops}
 }

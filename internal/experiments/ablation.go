@@ -167,6 +167,7 @@ type AblationRowSet struct {
 
 // AblationRows computes all three ablation studies.
 func AblationRows(o Options) (AblationRowSet, error) {
+	o = o.withDefaults() // the three studies share one template cache
 	var set AblationRowSet
 	var err error
 	if set.Singleton, err = SingletonRows(o); err != nil {

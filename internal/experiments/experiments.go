@@ -88,14 +88,27 @@ type Options struct {
 	// rec collects the run's FailureReport when the caller asked for
 	// one (RowsWithReport); nil drops the records.
 	rec *failureRecorder
+	// templates shares each workload's read-only footprint templates
+	// among the points of one experiment call; withDefaults gives every
+	// call that arrives without one a fresh cache.
+	templates *templateCache
+}
+
+// withDefaults is WithDefaults plus the per-call template cache. Every
+// experiment entry point starts with it, so each call derives each
+// workload's templates once and nested calls share them.
+func (o Options) withDefaults() Options {
+	o = o.WithDefaults()
+	if o.templates == nil {
+		o.templates = &templateCache{}
+	}
+	return o
 }
 
 // WithDefaults returns the options as every driver will actually run
 // them, with zero fields replaced by their defaults — what a
 // machine-readable report should record as the run configuration.
-func (o Options) WithDefaults() Options { return o.withDefaults() }
-
-func (o Options) withDefaults() Options {
+func (o Options) WithDefaults() Options {
 	if o.Scale == 0 {
 		o.Scale = 1.0 / 16
 	}
@@ -272,13 +285,55 @@ func (o Options) grid() []gridPoint {
 	return pts
 }
 
+// templateCache maps each workload to its footprint templates for the
+// points of one experiment call, all at that call's seed. The first
+// point of a workload derives the table and every later point, on any
+// worker, builds its generator on it; templates are read-only, so
+// sharing them changes no record. Generator state stays per point.
+type templateCache struct {
+	mu     sync.Mutex
+	tables map[string]*templateSlot
+}
+
+// templateSlot derives one table exactly once, however many points
+// ask for it concurrently.
+type templateSlot struct {
+	once sync.Once
+	t    *synth.Templates
+	err  error
+}
+
+// get returns the workload's template table at the seed, deriving it
+// on first use.
+func (c *templateCache) get(workload string, seed int64) (*synth.Templates, error) {
+	c.mu.Lock()
+	if c.tables == nil {
+		c.tables = map[string]*templateSlot{}
+	}
+	s := c.tables[workload]
+	if s == nil {
+		s = &templateSlot{}
+		c.tables[workload] = s
+	}
+	c.mu.Unlock()
+	s.once.Do(func() {
+		prof, err := synth.ByName(workload)
+		if err != nil {
+			s.err = err
+			return
+		}
+		s.t, s.err = synth.NewTemplates(prof, seed)
+	})
+	return s.t, s.err
+}
+
 // trace builds a generator for a workload at the options' scale.
 func (o Options) trace(workload string) (memtrace.Source, synth.Profile, error) {
-	prof, err := synth.ByName(workload)
+	tmpl, err := o.templates.get(workload, o.Seed)
 	if err != nil {
 		return nil, synth.Profile{}, err
 	}
-	gen, err := synth.NewGenerator(prof, o.Seed, o.Scale)
+	gen, err := tmpl.NewGenerator(o.Scale)
 	if err != nil {
 		return nil, synth.Profile{}, err
 	}

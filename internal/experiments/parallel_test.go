@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"fpcache/internal/synth"
@@ -83,5 +84,34 @@ func TestRowsRegistryMatchesRenderers(t *testing.T) {
 	}
 	if _, err := Rows("bogus", o); err == nil {
 		t.Fatal("unknown experiment accepted by Rows")
+	}
+}
+
+// TestTemplateCachePerCall pins the shared-template contract: one
+// experiment call derives one table per workload, and its rows do not
+// depend on how many workers share the tables.
+func TestTemplateCachePerCall(t *testing.T) {
+	o := tiny()
+	o.Refs, o.WarmupRefs = 10_000, 10_000
+	o.Workloads = []string{synth.WebSearch, synth.MapReduce, synth.SATSolver}
+	var want any
+	for _, workers := range []int{1, 4} {
+		o.Workers = workers
+		o.templates = &templateCache{}
+		rows, report, err := RowsWithReport("figure5", o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(report.Failures) != 0 {
+			t.Fatalf("workers=%d: failures %+v", workers, report.Failures)
+		}
+		if got := len(o.templates.tables); got != len(o.Workloads) {
+			t.Fatalf("workers=%d: cache holds %d tables, want %d", workers, got, len(o.Workloads))
+		}
+		if want == nil {
+			want = rows
+		} else if !reflect.DeepEqual(rows, want) {
+			t.Fatalf("workers=%d: rows differ from the serial run", workers)
+		}
 	}
 }

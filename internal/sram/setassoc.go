@@ -11,13 +11,15 @@ package sram
 import "fmt"
 
 // Entry is one way of a set, pairing a tag with a caller-defined
-// payload.
+// payload. Field order keeps the small flags after the payload, so a
+// one-byte payload packs the entry into 24 bytes (the block design's
+// multi-megabyte tag arrays are built from these).
 type Entry[V any] struct {
 	Tag   uint64
+	used  uint64 // LRU timestamp; larger = more recent
 	Value V
 	valid bool
-	way   int
-	used  uint64 // LRU timestamp; larger = more recent
+	way   uint32
 }
 
 // Valid reports whether the entry currently holds data.
@@ -25,7 +27,7 @@ func (e *Entry[V]) Valid() bool { return e.valid }
 
 // Way returns the entry's way index within its set. Set/way pairs
 // directly determine DRAM cache frame addresses (paper §4.1).
-func (e *Entry[V]) Way() int { return e.way }
+func (e *Entry[V]) Way() int { return int(e.way) }
 
 // SetAssoc is a set-associative array with true-LRU replacement.
 // Lookups and fills address a (set, tag) pair; the caller owns the
@@ -51,7 +53,7 @@ func NewSetAssoc[V any](sets, ways int) *SetAssoc[V] {
 	}
 	c := &SetAssoc[V]{sets: sets, ways: ways, data: make([]Entry[V], sets*ways)}
 	for i := range c.data {
-		c.data[i].way = i % ways
+		c.data[i].way = uint32(i % ways)
 	}
 	return c
 }
@@ -99,7 +101,7 @@ func (c *SetAssoc[V]) Peek(set int, tag uint64) *Entry[V] {
 // Victim returns the entry that Insert would replace in the set: an
 // invalid way if one exists, else the LRU way. The returned entry is
 // live storage; callers may inspect it (e.g., for dirty writeback)
-// before inserting.
+// and then fill it with Replace.
 func (c *SetAssoc[V]) Victim(set int) *Entry[V] {
 	ways := c.set(set)
 	var lru *Entry[V]
@@ -118,7 +120,15 @@ func (c *SetAssoc[V]) Victim(set int) *Entry[V] {
 // set is full. It returns the displaced entry's previous contents and
 // whether a valid entry was evicted.
 func (c *SetAssoc[V]) Insert(set int, tag uint64, value V) (old Entry[V], evicted bool) {
-	v := c.Victim(set)
+	return c.Replace(c.Victim(set), tag, value)
+}
+
+// Replace fills v, an entry Victim returned, with (tag, value) as the
+// most recently used way, without scanning the set again. Nothing may
+// touch v's set between the Victim call and Replace, or v may no
+// longer be the way Insert would pick. It returns the entry's previous
+// contents and whether a valid entry was evicted.
+func (c *SetAssoc[V]) Replace(v *Entry[V], tag uint64, value V) (old Entry[V], evicted bool) {
 	old = *v
 	evicted = v.valid
 	if evicted {
@@ -171,9 +181,6 @@ func (c *SetAssoc[V]) Range(fn func(set int, e *Entry[V])) {
 func (c *SetAssoc[V]) Occupancy() int {
 	n := 0
 	for i := range c.data {
-		if i%c.ways == 0 {
-			_ = i
-		}
 		if c.data[i].valid {
 			n++
 		}

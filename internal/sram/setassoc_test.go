@@ -120,6 +120,14 @@ func TestVictimMatchesInsert(t *testing.T) {
 	if !evicted || old.Tag != predicted {
 		t.Fatalf("Victim predicted %d, Insert evicted %d", predicted, old.Tag)
 	}
+	// Replace fills exactly the way Victim chose.
+	v := c.Victim(0)
+	way, predicted := v.Way(), v.Tag
+	old, evicted = c.Replace(v, 100, 1)
+	if !evicted || old.Tag != predicted || c.Peek(0, 100).Way() != way || c.Evictions != 2 {
+		t.Fatalf("Replace evicted %d (want %d), filled way %d (want %d), %d evictions",
+			old.Tag, predicted, c.Peek(0, 100).Way(), way, c.Evictions)
+	}
 }
 
 func TestOccupancyAndFlush(t *testing.T) {

@@ -12,7 +12,7 @@ import (
 // (dcache.SnapshotVersion), so a fingerprint change means bumping that
 // const along with refreshing this directive.
 //
-//fplint:snapfields 0xf25bdde5
+//fplint:snapfields 0x551a8fdb
 
 // Save serializes the container — geometry, LRU clock, stats, and
 // every entry including its exact LRU timestamp — so a restored array

@@ -172,8 +172,8 @@ type visit struct {
 // Generator emits trace records; it implements memtrace.Source.
 type Generator struct {
 	prof      Profile
+	tmpl      *Templates
 	rng       *rand.Rand
-	seed      int64
 	regions   int64
 	active    []*visit
 	recent    []int64 // ring of recently visited regions
@@ -182,14 +182,17 @@ type Generator struct {
 	nextCPU   uint8
 	focus     int // index of the visit currently emitting a burst
 	burstLeft int
-	// templates memoizes template() results: templates are pure
-	// functions of their key, and visits never mutate the shared
-	// order slices, so caching removes the per-visit PRNG and slice
-	// allocations from the generation hot path.
-	templates map[templateKey]templateVal
+	// drift memoizes the drift-epoch (> 0) templates, which the shared
+	// table does not hold: they are pure functions of their key, and
+	// visits never mutate the shared order slices, so caching removes
+	// the per-visit PRNG reseed and slice allocations from the
+	// generation hot path. Only drifting profiles (DriftEvery > 0) fill
+	// it; driftRNG is the reusable source they reseed per derivation.
+	drift    map[templateKey]templateVal
+	driftRNG *rand.Rand
 }
 
-// templateKey identifies one deterministic footprint template.
+// templateKey identifies one drift-epoch footprint template.
 type templateKey struct {
 	class, pattern int
 	epoch          int64
@@ -200,20 +203,67 @@ type templateVal struct {
 	order []uint8
 }
 
-// maxCachedTemplates bounds the memo; drift-heavy profiles mint new
-// epochs over time, so the cache resets rather than growing without
-// bound (recomputation is correct, just slower).
+// maxCachedTemplates bounds a generator's private drift-epoch memo;
+// drift-heavy profiles mint new epochs over time, so the memo resets
+// rather than growing without bound (recomputation is correct, just
+// slower).
 const maxCachedTemplates = 8192
 
-// NewGenerator builds a generator for the profile at the given
-// capacity scale (1.0 = paper scale). Deterministic for a given seed.
-func NewGenerator(prof Profile, seed int64, scale float64) (*Generator, error) {
+// Templates is the read-only table of a profile's epoch-0 footprint
+// templates at one seed: every (class, pattern) template, derived in
+// full when the table is built. Templates depend only on the profile's
+// classes, its PatternsPerClass and the seed — never on the capacity
+// scale or on generator state — so one table can back any number of
+// generators, on any number of goroutines, without changing a record.
+type Templates struct {
+	prof        Profile
+	seed        int64
+	totalWeight float64 // sum of class weights, in declaration order
+	epoch0      []templateVal
+}
+
+// NewTemplates validates the profile and derives its epoch-0 template
+// table for the seed.
+func NewTemplates(prof Profile, seed int64) (*Templates, error) {
 	if err := prof.Validate(); err != nil {
 		return nil, err
 	}
+	prof.Classes = append([]Class(nil), prof.Classes...)
+	t := &Templates{
+		prof:   prof,
+		seed:   seed,
+		epoch0: make([]templateVal, len(prof.Classes)*prof.PatternsPerClass),
+	}
+	for _, c := range prof.Classes {
+		t.totalWeight += c.Weight
+	}
+	h := rand.New(rand.NewSource(0)) // derive reseeds it per template
+	for i := range t.epoch0 {
+		t.epoch0[i] = t.derive(h, i/prof.PatternsPerClass, i%prof.PatternsPerClass, 0)
+	}
+	return t, nil
+}
+
+// NewGenerator builds a generator for the profile at the given
+// capacity scale (1.0 = paper scale), with a private template table.
+// Deterministic for a given seed.
+func NewGenerator(prof Profile, seed int64, scale float64) (*Generator, error) {
+	t, err := NewTemplates(prof, seed)
+	if err != nil {
+		return nil, err
+	}
+	return t.NewGenerator(scale)
+}
+
+// NewGenerator builds a generator over the table's profile and seed at
+// the given capacity scale. Its records are identical to those of the
+// package-level NewGenerator for the same profile, seed and scale; the
+// table is only read, and all mutable state is the generator's own.
+func (t *Templates) NewGenerator(scale float64) (*Generator, error) {
 	if scale <= 0 || scale > 1 {
 		return nil, fmt.Errorf("synth: scale %g out of (0,1]", scale)
 	}
+	prof := t.prof
 	regions := int64(float64(prof.DatasetBytes)*scale) / RegionBytes
 	if regions < 16 {
 		regions = 16
@@ -231,12 +281,11 @@ func NewGenerator(prof Profile, seed int64, scale float64) (*Generator, error) {
 		recWin = 4 * conc
 	}
 	g := &Generator{
-		prof:      prof,
-		rng:       rand.New(rand.NewSource(seed)),
-		seed:      seed,
-		regions:   regions,
-		recent:    make([]int64, 0, recWin),
-		templates: make(map[templateKey]templateVal),
+		prof:    prof,
+		tmpl:    t,
+		rng:     rand.New(rand.NewSource(t.seed)),
+		regions: regions,
+		recent:  make([]int64, 0, recWin),
 	}
 	for i := 0; i < conc; i++ {
 		g.active = append(g.active, g.newVisit())
@@ -302,11 +351,7 @@ func (g *Generator) remember(region int64) {
 // pickClass maps a uniform sample in [0,1) to a class index by
 // weight.
 func (g *Generator) pickClass(u float64) int {
-	total := 0.0
-	for _, c := range g.prof.Classes {
-		total += c.Weight
-	}
-	x := u * total
+	x := u * g.tmpl.totalWeight
 	for i, c := range g.prof.Classes {
 		x -= c.Weight
 		if x < 0 {
@@ -352,7 +397,7 @@ func (g *Generator) reinitVisit(v *visit) {
 		classIdx = g.pickClass(g.rng.Float64())
 		patternID = g.rng.Intn(g.prof.PatternsPerClass)
 	} else {
-		rh := uint64(region)*0xff51afd7ed558ccd ^ uint64(g.seed)
+		rh := uint64(region)*0xff51afd7ed558ccd ^ uint64(g.tmpl.seed)
 		classIdx = g.pickClass(float64(rh%(1<<20)) / (1 << 20))
 		patternID = int((rh >> 20) % uint64(g.prof.PatternsPerClass))
 	}
@@ -377,32 +422,41 @@ func (g *Generator) reinitVisit(v *visit) {
 // template returns the deterministic footprint for a (class, pattern,
 // epoch) triple: the bitset and the emission order. The first element
 // of the order defines the (PC, offset) key the predictor will see on
-// the triggering miss.
+// the triggering miss. Epoch 0 reads the shared table; drift epochs are
+// derived on demand into the generator's private memo.
 func (g *Generator) template(classIdx, patternID int, epoch int64) (bits uint64, order []uint8) {
-	key := templateKey{class: classIdx, pattern: patternID, epoch: epoch}
-	if t, ok := g.templates[key]; ok {
+	if epoch == 0 {
+		t := &g.tmpl.epoch0[classIdx*g.prof.PatternsPerClass+patternID]
 		return t.bits, t.order
 	}
-	bits, order = g.computeTemplate(classIdx, patternID, epoch)
-	if len(g.templates) >= maxCachedTemplates {
-		clear(g.templates)
+	key := templateKey{class: classIdx, pattern: patternID, epoch: epoch}
+	if t, ok := g.drift[key]; ok {
+		return t.bits, t.order
 	}
-	g.templates[key] = templateVal{bits: bits, order: order}
-	return bits, order
+	if g.drift == nil || len(g.drift) >= maxCachedTemplates {
+		g.drift = make(map[templateKey]templateVal)
+	}
+	if g.driftRNG == nil {
+		g.driftRNG = rand.New(rand.NewSource(0))
+	}
+	t := g.tmpl.derive(g.driftRNG, classIdx, patternID, epoch)
+	g.drift[key] = t
+	return t.bits, t.order
 }
 
-// computeTemplate derives a template from scratch; template memoizes
-// it (visits share the returned order slice and never mutate it).
-func (g *Generator) computeTemplate(classIdx, patternID int, epoch int64) (bits uint64, order []uint8) {
-	c := g.prof.Classes[classIdx]
-	h := rand.New(rand.NewSource(g.seed ^ int64(classIdx)<<40 ^ int64(patternID)<<8 ^ epoch<<52 ^ 0x5bd1e995))
+// derive computes one template from scratch, reseeding h (whose prior
+// state is irrelevant) from the template's key. Visits share the
+// returned order slice and never mutate it.
+func (t *Templates) derive(h *rand.Rand, classIdx, patternID int, epoch int64) templateVal {
+	c := t.prof.Classes[classIdx]
 	if c.FullRegion {
-		order = make([]uint8, BlocksPerRegion)
+		order := make([]uint8, BlocksPerRegion)
 		for i := range order {
 			order[i] = uint8(i)
 		}
-		return ^uint64(0), order
+		return templateVal{bits: ^uint64(0), order: order}
 	}
+	h.Seed(t.seed ^ int64(classIdx)<<40 ^ int64(patternID)<<8 ^ epoch<<52 ^ 0x5bd1e995)
 	size := c.MinBlocks
 	if c.MaxBlocks > c.MinBlocks {
 		size += h.Intn(c.MaxBlocks - c.MinBlocks + 1)
@@ -415,23 +469,23 @@ func (g *Generator) computeTemplate(classIdx, patternID int, epoch int64) (bits 
 	if size > window {
 		size = window
 	}
+	order := make([]uint8, size)
 	if c.Sequential {
 		start := h.Intn(window - size + 1)
-		order = make([]uint8, size)
 		for i := range order {
 			order[i] = half + uint8(start+i)
 		}
 	} else {
 		perm := h.Perm(window)
-		order = make([]uint8, size)
 		for i := range order {
 			order[i] = half + uint8(perm[i])
 		}
 	}
+	var bits uint64
 	for _, b := range order {
 		bits |= 1 << b
 	}
-	return bits, order
+	return templateVal{bits: bits, order: order}
 }
 
 // zipfRegion draws a region with Zipf-like popularity skew using the
