@@ -92,6 +92,7 @@ func (s *SimState) Policy() ResizePolicy { return s.pol }
 // never the process.
 func (s *SimState) run(src memtrace.Source, n int, pol ResizePolicy, startRefs uint64) (instrs, steps uint64, err error) {
 	st := newStepper(s.design, src, n, pol, startRefs, s.ops)
+	defer st.close()
 	for st.next() {
 		applyOps(st.out.Ops, s.offT, s.stkT)
 		if st.resized {

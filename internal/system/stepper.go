@@ -16,8 +16,12 @@ import (
 // measured-epoch boundary lets the policy decide, resizes, and
 // validates the transition. Callers differ only in where the ops go,
 // so every mode steps the same sequence by construction.
+//
+// A stepper with a long budget reads src through a feed (feed.go) when
+// a P is idle. Whoever builds a stepper closes it, on every path out.
 type stepper struct {
 	src    memtrace.Source
+	feed   *feed
 	design dcache.Design
 	// left is the record budget (math.MaxUint64 drains the source);
 	// pos the absolute measured position, start offset included.
@@ -47,11 +51,16 @@ type stepper struct {
 // design with Access scratch ops. startRefs is the measured position
 // the run resumes at, so an interval hits the same absolute epoch
 // boundaries as the serial run it is a slice of. Resizing is on only
-// for a Resizable design under an enabled policy.
+// for a Resizable design under an enabled policy. The caller must
+// close the stepper.
 func newStepper(design dcache.Design, src memtrace.Source, n int, pol ResizePolicy, startRefs uint64, ops []dcache.Op) stepper {
 	s := stepper{src: src, design: design, left: math.MaxUint64, pos: startRefs, out: dcache.Outcome{Ops: ops}}
 	if n > 0 {
 		s.left = uint64(n)
+	}
+	if wantFeed(s.left, runningSteppers.Add(1)) {
+		s.feed = newFeed(src, s.left)
+		s.src = s.feed
 	}
 	if rz, ok := design.(Resizable); ok && policyPeriod(pol) > 0 {
 		s.pol, s.rz, s.period = pol, rz, uint64(pol.Period())
@@ -93,6 +102,15 @@ func (s *stepper) next() bool {
 		}
 	}
 	return true
+}
+
+// close stops the stepper's feed, if it has one, and leaves the count
+// of running steppers.
+func (s *stepper) close() {
+	if s.feed != nil {
+		s.feed.close()
+	}
+	runningSteppers.Add(-1)
 }
 
 // validateOutcomes is how many leading outcome DAGs every stepper

@@ -236,11 +236,9 @@ func RunTiming(design dcache.Design, src memtrace.Source, cfg TimingConfig) (Tim
 	// Functional warmup: bring tags, MissMap, FHT, and ST to steady
 	// state before the first timed cycle, discarding the ops. Its
 	// Access scratch carries over to the demux.
-	warm := newStepper(design, src, cfg.WarmupRefs, nil, 0, nil)
-	for cfg.WarmupRefs > 0 && warm.next() {
-	}
-	if warm.err != nil {
-		return TimingResult{Design: design.Name()}, warm.err
+	ops, err := warmTiming(design, src, cfg.WarmupRefs)
+	if err != nil {
+		return TimingResult{Design: design.Name()}, err
 	}
 	ctr0 := design.Counters()
 
@@ -256,7 +254,7 @@ func RunTiming(design dcache.Design, src memtrace.Source, cfg TimingConfig) (Tim
 		},
 	}
 	dm := &demux{
-		st:     newStepper(design, src, cfg.MaxRefs, cfg.Resize, cfg.ResizeStartRefs, warm.out.Ops),
+		st:     newStepper(design, src, cfg.MaxRefs, cfg.Resize, cfg.ResizeStartRefs, ops),
 		queues: make([]coreQueue, cfg.Cores),
 		// Resize traffic is pure background: nothing gates on it, and
 		// its record returns to the pool when the last op lands.
@@ -266,6 +264,7 @@ func RunTiming(design dcache.Design, src memtrace.Source, cfg TimingConfig) (Tim
 			fl.dispatch()
 		},
 	}
+	defer dm.st.close()
 	part := partitionExtra(design)
 	var pt0 dcache.PartitionStats
 	if part != nil {
@@ -312,6 +311,19 @@ func RunTiming(design dcache.Design, src memtrace.Source, cfg TimingConfig) (Tim
 		res.ReadLatencyP99 = res.ReadLatency.Percentile(0.99)
 	}
 	return res, dm.st.err
+}
+
+// warmTiming steps RunTiming's functional warmup of n records (none
+// when n <= 0) and returns the Access scratch it grew.
+func warmTiming(design dcache.Design, src memtrace.Source, n int) ([]dcache.Op, error) {
+	if n <= 0 {
+		return nil, nil
+	}
+	st := newStepper(design, src, n, nil, 0, nil)
+	defer st.close()
+	for st.next() {
+	}
+	return st.out.Ops, st.err
 }
 
 // timingRun is the memory-system side of one RunTiming: the engine,
