@@ -51,7 +51,8 @@ type Policy struct {
 
 // PanicError is a recovered sweep-point panic. It wraps
 // fault.ErrPointPanic and carries the recovered value and the
-// goroutine stack captured at recovery.
+// goroutine stack captured at recovery (for a *ForwardedPanic, the
+// value and stack it forwards).
 type PanicError struct {
 	Index int
 	Value any
@@ -65,6 +66,22 @@ func (e *PanicError) Error() string {
 
 // Unwrap ties the panic into the fault taxonomy.
 func (e *PanicError) Unwrap() error { return fault.ErrPointPanic }
+
+// ForwardedPanic is a panic recovered on a goroutine a job started and
+// raised again on the job's own goroutine. It keeps the stack of the
+// goroutine that first panicked, which a recovery on the job's
+// goroutine cannot see; a *PanicError built from it carries Value and
+// Stack from it, the latter followed by where it was raised again.
+type ForwardedPanic struct {
+	Value any
+	Stack string
+}
+
+// Error implements error, so a forwarded panic that no sweep recovers
+// still prints the first goroutine's stack when it ends the process.
+func (p *ForwardedPanic) Error() string {
+	return fmt.Sprintf("%v\n\n%s", p.Value, p.Stack)
+}
 
 // PointError is one failed point: its job index and the job's error
 // (a *PanicError for a recovered panic).
@@ -148,7 +165,12 @@ func runPoint[T any](i int, timeout time.Duration, job func(i int) (T, error)) (
 func guarded[T any](i int, job func(i int) (T, error)) (v T, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			err = &PanicError{Index: i, Value: p, Stack: string(debug.Stack())}
+			pe := &PanicError{Index: i, Value: p, Stack: string(debug.Stack())}
+			if fp, ok := p.(*ForwardedPanic); ok {
+				pe.Value = fp.Value
+				pe.Stack = fp.Stack + "\nraised again by:\n" + pe.Stack
+			}
+			err = pe
 		}
 	}()
 	return job(i)

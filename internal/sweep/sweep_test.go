@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -198,6 +199,40 @@ func TestPanicIsolatedWithZeroPolicy(t *testing.T) {
 				t.Fatalf("workers=%d: out[%d] = %q, want %q", workers, i, v, want)
 			}
 		}
+	}
+}
+
+// failOnHelper panics on a helper goroutine, recovers there, and
+// hands the panic back as a *ForwardedPanic.
+func failOnHelper() (fp *ForwardedPanic) {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer func() {
+			fp = &ForwardedPanic{Value: recover(), Stack: string(debug.Stack())}
+		}()
+		panic("helper failed")
+	}()
+	<-done
+	return fp
+}
+
+// TestForwardedPanicKeepsFirstStack: a panic raised again from another
+// goroutine fails the point with the first goroutine's value, and its
+// stack names the helper that panicked as well as the job.
+func TestForwardedPanicKeepsFirstStack(t *testing.T) {
+	_, failed := Map(1, 1, Policy{}, func(int) (int, error) {
+		panic(failOnHelper())
+	})
+	var pe *PanicError
+	if len(failed) != 1 || !errors.As(failed[0].Err, &pe) {
+		t.Fatalf("failures %v, want one *PanicError", failed)
+	}
+	if pe.Value != "helper failed" {
+		t.Errorf("recovered %v, want the helper's own value", pe.Value)
+	}
+	if !strings.Contains(pe.Stack, "failOnHelper.func") || !strings.Contains(pe.Stack, "TestForwardedPanicKeepsFirstStack") {
+		t.Errorf("stack misses the helper or the job:\n%s", pe.Stack)
 	}
 }
 

@@ -2,9 +2,11 @@ package system
 
 import (
 	"runtime"
+	"runtime/debug"
 	"sync/atomic"
 
 	"fpcache/internal/memtrace"
+	"fpcache/internal/sweep"
 )
 
 // The record feed overlaps trace generation with simulation. A long
@@ -15,9 +17,13 @@ import (
 // follow. One goroutine still reads the source, in order, so every
 // record, and with it every row, is the same as without the feed.
 const (
-	// feedMinRefs is the smallest budget worth a producer goroutine.
-	// Drains always qualify.
-	feedMinRefs = 16 << 10
+	// feedMinRefs is the smallest budget that gains from a producer
+	// goroutine. Drains always qualify. Starting a feed costs 45-65
+	// µs (the ring, the goroutine, waking an idle P), and in
+	// BenchmarkFeedBudget on a 2-vCPU Xeon a run of 4k records is
+	// 18-25% slower with the feed, one of 8k 4-12% faster, and one of
+	// 16k about 13% faster.
+	feedMinRefs = 8 << 10
 	// feedBatchLen records per ring slot, feedBatches slots per feed:
 	// a 96 KB ring, one channel handoff per side per batch, plus the
 	// consumer's 24 KB copy of the batch it is reading.
@@ -26,9 +32,12 @@ const (
 )
 
 // runningSteppers counts the steppers alive in the process. A stepper
-// pipelines only while twice that count fits in GOMAXPROCS, so a sweep
-// whose workers already fill every P keeps the single-goroutine path
-// and only a spare P runs a producer.
+// with a budget of at least feedMinRefs pipelines only if, when it is
+// built, twice that count fits in GOMAXPROCS. The gate is not sampled
+// again: a stepper that starts while a P is idle keeps its producer
+// for its whole run, even once other steppers fill every P. While a
+// sweep's workers are all stepping, the points they start run without
+// one.
 var runningSteppers atomic.Int64
 
 // feedOverride forces the feed on (+1) or off (-1) for every stepper,
@@ -37,7 +46,7 @@ var runningSteppers atomic.Int64
 var feedOverride int
 
 // wantFeed reports whether a stepper with the given record budget,
-// one of running live steppers, reads through a feed.
+// built as one of running live steppers, reads through a feed.
 func wantFeed(budget uint64, running int64) bool {
 	switch {
 	case feedOverride > 0:
@@ -62,8 +71,9 @@ type feedBatch struct {
 // pull every cache line across cores in the middle of Design.Access;
 // the bulk copy streams them in one go. The producer closes full when
 // it has read the budget, when the source ends, or after recovering a
-// panic from the source, which it leaves in panicked for the consumer
-// to raise again on its own goroutine.
+// panic from the source, which it leaves in panicked, with the stack
+// of the goroutine that panicked, for the consumer to raise again on
+// its own goroutine.
 type feed struct {
 	full, empty chan *feedBatch
 	stop        chan struct{} // closed by close: the producer quits
@@ -74,7 +84,7 @@ type feed struct {
 
 	// panicked is written by the producer before it closes full and
 	// read by the consumer only after seeing full closed.
-	panicked any
+	panicked *sweep.ForwardedPanic
 }
 
 // newFeed starts a producer reading up to budget records of src.
@@ -104,7 +114,7 @@ func (f *feed) produce(src memtrace.Source, budget uint64) {
 		if p := recover(); p != nil {
 			// Hand over the records read before the panic first, so
 			// the consumer steps them before it panics in turn.
-			f.panicked = p
+			f.panicked = &sweep.ForwardedPanic{Value: p, Stack: string(debug.Stack())}
 			if b != nil && b.n > 0 {
 				f.send(b)
 			}
@@ -159,8 +169,8 @@ func (f *feed) Next() (memtrace.Record, bool) {
 }
 
 // refill waits for the next filled slot, copies it into buf and hands
-// it back. It raises the source's panic once the records before it are
-// read.
+// it back. It raises the source's panic, wrapped with the producer's
+// stack, once the records before it are read.
 func (f *feed) refill() bool {
 	b, ok := <-f.full
 	if !ok {

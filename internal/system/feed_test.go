@@ -3,9 +3,11 @@ package system
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -176,8 +178,8 @@ func TestFeedParity(t *testing.T) {
 
 // TestFeedSourcePanicFailsPoint: a source that panics mid-run panics
 // on the stepping goroutine, after the records before it, so sweep.Map
-// reports the point as failed and the process goes on; the producer
-// does not outlive the point.
+// reports the point as failed, with the stack of the source's Next,
+// and the process goes on; the producer does not outlive the point.
 func TestFeedSourcePanicFailsPoint(t *testing.T) {
 	withFeed(t, 1)
 	base := runtime.NumGoroutine()
@@ -203,7 +205,10 @@ func TestFeedSourcePanicFailsPoint(t *testing.T) {
 	}
 	var pe *sweep.PanicError
 	if !errors.As(errs[0].Err, &pe) || pe.Value != "trace source failed" {
-		t.Errorf("recovered %v, want the source's own panic value", errs[0].Err)
+		t.Fatalf("recovered %v, want the source's own panic value", errs[0].Err)
+	}
+	if !strings.Contains(pe.Stack, "(*panickingSource).Next") {
+		t.Errorf("failure's stack does not name the source that panicked:\n%s", pe.Stack)
 	}
 	if n := designs[1].Counters().Accesses(); n != 2_500 {
 		t.Errorf("the failing point stepped %d records before the panic, want 2500", n)
@@ -298,5 +303,34 @@ func TestFeedCorruptTrace(t *testing.T) {
 	}
 	if off == 0 || off >= 40_000 {
 		t.Errorf("corrupt trace stopped after %d records; want a failure mid-file", off)
+	}
+}
+
+// BenchmarkFeedBudget measures where the feed starts to pay: one warm
+// footprint design steps one trace in runs of each budget, with the
+// feed forced off and on. The ns/ref of the two sides set feedMinRefs.
+//
+//	go test -run '^$' -bench FeedBudget -count 4 ./internal/system
+func BenchmarkFeedBudget(b *testing.B) {
+	for _, budget := range []int{1, 2 << 10, 4 << 10, 8 << 10, 16 << 10, 32 << 10} {
+		for _, mode := range []int{-1, 1} {
+			b.Run(fmt.Sprintf("refs=%d/feed=%+d", budget, mode), func(b *testing.B) {
+				d, err := BuildDesign(DesignSpec{Kind: KindFootprint, PaperCapacityMB: 256, Scale: 1.0 / 16})
+				if err != nil {
+					b.Fatal(err)
+				}
+				s := NewSimState(d)
+				src := testutil.SynthTrace(b, synth.WebSearch, 1, 1.0/16)
+				mustFunctional(s.Measure(src, 200_000))
+				prev := feedOverride
+				feedOverride = mode
+				defer func() { feedOverride = prev }()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					mustFunctional(s.Measure(src, budget))
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*budget), "ns/ref")
+			})
+		}
 	}
 }

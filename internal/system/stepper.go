@@ -17,8 +17,9 @@ import (
 // validates the transition. Callers differ only in where the ops go,
 // so every mode steps the same sequence by construction.
 //
-// A stepper with a long budget reads src through a feed (feed.go) when
-// a P is idle. Whoever builds a stepper closes it, on every path out.
+// A stepper with a long budget, built while a P is idle, reads src
+// through a feed (feed.go). Whoever builds a stepper closes it, on
+// every path out.
 type stepper struct {
 	src    memtrace.Source
 	feed   *feed
