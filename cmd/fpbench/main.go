@@ -11,7 +11,6 @@
 //	fpbench -state-cache .warm   # warm each point once, restore thereafter
 //	fpbench -state-cache .warm -state-cache-max 1073741824
 //	fpbench -point-timeout 5m -tolerate
-//	fpbench -state-cache .warm -fault-spec 'snapshot-read:flipbit:offset=3,bit=6'
 //
 // Simulation points fan out over a worker pool (internal/sweep);
 // results are gathered in declaration order, so output is
@@ -25,9 +24,7 @@
 // is isolated, -point-timeout bounds each point, and every fault an
 // experiment absorbed lands in its failure report (included per
 // experiment in the -json output). Failed points fail their
-// experiment unless -tolerate keeps the surviving rows. -fault-spec
-// injects scheduled faults (internal/faultinject) to exercise that
-// path end to end.
+// experiment unless -tolerate keeps the surviving rows.
 package main
 
 import (
@@ -39,7 +36,6 @@ import (
 	"time"
 
 	"fpcache/internal/experiments"
-	"fpcache/internal/faultinject"
 	"fpcache/internal/sweep"
 )
 
@@ -59,7 +55,6 @@ func main() {
 		stateMax  = flag.Int64("state-cache-max", 0, "cap the state cache's total size in bytes, evicting oldest entries first (0 = unlimited)")
 		timeout   = flag.Duration("point-timeout", 0, "deadline for each simulation point (0 = none)")
 		tolerate  = flag.Bool("tolerate", false, "keep an experiment's surviving rows when points fail for good (failed cells degrade to zero and land in the failure report)")
-		faultSpec = flag.String("fault-spec", "", "inject scheduled faults, e.g. 'point:error:point=1;snapshot-read:flipbit:offset=40' (testing the fault tolerance itself)")
 		workers   = flag.Int("j", 0, "parallel simulation points: 0 = all cores, 1 = serial")
 	)
 	flag.Parse()
@@ -83,14 +78,6 @@ func main() {
 		Tolerate:           *tolerate,
 		// Options treats 0 as serial; the CLI treats 0 as "all cores".
 		Workers: sweep.Workers(*workers),
-	}
-	if *faultSpec != "" {
-		inj, err := faultinject.Parse(*faultSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fpbench:", err)
-			os.Exit(2)
-		}
-		o.Injector = inj
 	}
 	if *workloads != "" {
 		o.Workloads = strings.Split(*workloads, ",")

@@ -37,7 +37,6 @@ var scopes = map[string][]string{
 		"fpcache/internal/dcache",
 		"fpcache/internal/stats",
 		"fpcache/internal/control",
-		"fpcache/internal/faultinject",
 	},
 	"faulterr": {
 		"fpcache/internal/snap",
@@ -50,7 +49,6 @@ var scopes = map[string][]string{
 		"fpcache/internal/system",
 		"fpcache/internal/experiments",
 		"fpcache/internal/control",
-		"fpcache/internal/faultinject",
 		"fpcache/cmd/fpsim",
 	},
 }

@@ -87,9 +87,9 @@ func TestSuiteScopes(t *testing.T) {
 		t.Fatalf("suite has %d analyzers, want 6", len(suite()))
 	}
 	if m := byName["determinism"].Match; m == nil ||
-		!m("fpcache/internal/experiments") || !m("fpcache/internal/faultinject") ||
+		!m("fpcache/internal/experiments") || !m("fpcache/internal/sweep") ||
 		m("fpcache/internal/memtrace") {
-		t.Errorf("determinism scope wrong: must cover experiments and faultinject, not memtrace")
+		t.Errorf("determinism scope wrong: must cover experiments and sweep, not memtrace")
 	}
 	if m := byName["faulterr"].Match; m == nil ||
 		!m("fpcache/internal/snap") || m("fpcache/internal/experiments") {

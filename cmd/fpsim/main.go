@@ -56,14 +56,12 @@
 //	fpsim -design footprint+memcache:50 -resize 0.25,0.75 -resize-every 250000
 //	fpsim -design subblock+memlow:0 -adaptive
 //	fpsim -point-timeout 5m
-//	fpsim -fault-spec 'trace-read:flipbit:offset=64' -trace-in run.trace
 //	fpsim -list
 //
 // A failing point never takes the sweep down (DESIGN.md §10): a panic
 // is isolated, -point-timeout bounds each point, every failed point is
 // reported on stderr, surviving points still print, and the exit
-// status is 1. -fault-spec injects scheduled faults — point failures
-// and trace-read stream corruption — to exercise that path.
+// status is 1.
 package main
 
 import (
@@ -78,7 +76,6 @@ import (
 
 	"fpcache"
 	"fpcache/internal/fault"
-	"fpcache/internal/faultinject"
 	"fpcache/internal/memtrace"
 	"fpcache/internal/sweep"
 	"fpcache/internal/system"
@@ -106,7 +103,6 @@ func main() {
 		sampleW   = flag.Int("interval-warmup", 0, "cold pre-roll records before each sampled interval (default: the interval's own length; requires -sample-every)")
 		stateDir  = flag.String("state-cache", "", "directory of content-keyed warm-state snapshots, shared with fpbench: each functional point (and each -intervals boundary checkpoint) warms once and later runs restore it (results byte-identical)")
 		timeout   = flag.Duration("point-timeout", 0, "deadline for each simulation point (0 = none)")
-		faultSpec = flag.String("fault-spec", "", "inject scheduled faults, e.g. 'point:error:point=1;trace-read:flipbit:offset=64' (testing the fault tolerance itself)")
 		list      = flag.Bool("list", false, "list workload, design, and policy names and exit")
 	)
 	flag.Parse()
@@ -139,8 +135,6 @@ func main() {
 			fail(fmt.Errorf("-state-cache does not combine with -trace-in - (stdin has no content identity to key entries by)"))
 		case *skip > 0:
 			fail(fmt.Errorf("-state-cache does not combine with -skip"))
-		case *faultSpec != "":
-			fail(fmt.Errorf("-state-cache does not combine with -fault-spec"))
 		case *mode == "timing" && *intervals <= 0:
 			fail(fmt.Errorf("-state-cache does not combine with -mode timing unless -intervals is set"))
 		}
@@ -155,20 +149,11 @@ func main() {
 			fail(fmt.Errorf("-intervals does not combine with -trace-out"))
 		case *skip > 0:
 			fail(fmt.Errorf("-intervals does not combine with -skip"))
-		case *faultSpec != "":
-			fail(fmt.Errorf("-intervals does not combine with -fault-spec"))
 		}
 	} else if *sampleK != 0 || *sampleW != 0 {
 		fail(fmt.Errorf("-sample-every/-interval-warmup require -intervals"))
 	}
 
-	var inj *faultinject.Injector
-	if *faultSpec != "" {
-		var err error
-		if inj, err = faultinject.Parse(*faultSpec); err != nil {
-			fail(err)
-		}
-	}
 	var cache *system.WarmCache
 	if *stateDir != "" {
 		var err error
@@ -253,7 +238,7 @@ func main() {
 		cfg := pts[i]
 		var buf bytes.Buffer
 		if *mode == "functional" {
-			res, err := runFunctional(cfg, *traceIn, *traceOut, *skip, inj, cache, traceID)
+			res, err := runFunctional(cfg, *traceIn, *traceOut, *skip, cache, traceID)
 			if err != nil {
 				return "", err
 			}
@@ -268,13 +253,7 @@ func main() {
 		return buf.String(), nil
 	}
 
-	seq := inj.NextSweep()
-	reports, failed := sweep.Map(*workers, len(pts), sweep.Policy{Timeout: *timeout}, func(i int) (string, error) {
-		if err := inj.Point(seq, i); err != nil {
-			return "", err
-		}
-		return job(i)
-	})
+	reports, failed := sweep.Map(*workers, len(pts), sweep.Policy{Timeout: *timeout}, job)
 	for _, r := range failed {
 		p := pts[r.Index]
 		fmt.Fprintf(os.Stderr, "fpsim: %s/%s/%dMB failed [%s]: %v\n",
@@ -331,7 +310,7 @@ func (t *teeSource) Next() (memtrace.Record, bool) {
 // With a state cache, the warm state comes from the cache (see
 // runCached) instead of simulating the warmup prefix; traceID is the
 // trace file's content hash (fileTraceID).
-func runFunctional(cfg fpcache.Config, traceIn, traceOut string, skip int, inj *faultinject.Injector, cache *system.WarmCache, traceID string) (fpcache.FunctionalResult, error) {
+func runFunctional(cfg fpcache.Config, traceIn, traceOut string, skip int, cache *system.WarmCache, traceID string) (fpcache.FunctionalResult, error) {
 	var (
 		src memtrace.Source
 		// done reports the source's deferred error once the run ends,
@@ -340,7 +319,7 @@ func runFunctional(cfg fpcache.Config, traceIn, traceOut string, skip int, inj *
 	)
 	switch {
 	case traceIn == "-":
-		r := memtrace.NewReader(inj.Reader(faultinject.SiteTraceRead, os.Stdin))
+		r := memtrace.NewReader(os.Stdin)
 		src, done = r, r.Err
 	case traceIn != "":
 		f, err := os.Open(traceIn)
@@ -348,7 +327,7 @@ func runFunctional(cfg fpcache.Config, traceIn, traceOut string, skip int, inj *
 			return fpcache.FunctionalResult{}, err
 		}
 		defer f.Close()
-		fr, err := memtrace.NewFileReader(inj.ReadSeeker(faultinject.SiteTraceRead, f))
+		fr, err := memtrace.NewFileReader(f)
 		if err != nil {
 			return fpcache.FunctionalResult{}, err
 		}

@@ -14,7 +14,6 @@ import (
 
 	"fpcache"
 	"fpcache/internal/experiments"
-	"fpcache/internal/faultinject"
 	"fpcache/internal/memtrace"
 	"fpcache/internal/system"
 )
@@ -57,8 +56,8 @@ func fpsimOK(t *testing.T, args ...string) string {
 }
 
 // runFunctionalPoint is runFunctional without a state cache.
-func runFunctionalPoint(cfg fpcache.Config, traceIn, traceOut string, skip int, inj *faultinject.Injector) (fpcache.FunctionalResult, error) {
-	return runFunctional(cfg, traceIn, traceOut, skip, inj, nil, "")
+func runFunctionalPoint(cfg fpcache.Config, traceIn, traceOut string, skip int) (fpcache.FunctionalResult, error) {
+	return runFunctional(cfg, traceIn, traceOut, skip, nil, "")
 }
 
 func testConfig() fpcache.Config {
@@ -80,15 +79,15 @@ func TestTraceRoundTrip(t *testing.T) {
 	cfg := testConfig()
 	path := filepath.Join(t.TempDir(), "run.trace")
 
-	live, err := runFunctionalPoint(cfg, "", "", 0, nil)
+	live, err := runFunctionalPoint(cfg, "", "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recorded, err := runFunctionalPoint(cfg, "", path, 0, nil)
+	recorded, err := runFunctionalPoint(cfg, "", path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := runFunctionalPoint(cfg, path, "", 0, nil)
+	replayed, err := runFunctionalPoint(cfg, path, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,11 +133,11 @@ func TestTraceRoundTrip(t *testing.T) {
 func TestTraceReplayAcrossDesigns(t *testing.T) {
 	cfg := testConfig()
 	path := filepath.Join(t.TempDir(), "run.trace")
-	if _, err := runFunctionalPoint(cfg, "", path, 0, nil); err != nil {
+	if _, err := runFunctionalPoint(cfg, "", path, 0); err != nil {
 		t.Fatal(err)
 	}
 	cfg.Design = fpcache.FootprintBanshee
-	res, err := runFunctionalPoint(cfg, path, "", 0, nil)
+	res, err := runFunctionalPoint(cfg, path, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +156,7 @@ func TestTraceReplayRejectsGarbage(t *testing.T) {
 	if err := os.WriteFile(path, []byte("not a trace file at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runFunctionalPoint(testConfig(), path, "", 0, nil); err == nil {
+	if _, err := runFunctionalPoint(testConfig(), path, "", 0); err == nil {
 		t.Fatal("garbage trace accepted")
 	}
 }
@@ -242,11 +241,11 @@ func TestSkipFastForward(t *testing.T) {
 	full := write("full.v2", recs)
 	tail := write("tail.v2", recs[skip:])
 
-	want, err := runFunctionalPoint(cfg, tail, "", 0, nil)
+	want, err := runFunctionalPoint(cfg, tail, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := runFunctionalPoint(cfg, full, "", skip, nil)
+	got, err := runFunctionalPoint(cfg, full, "", skip)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +262,7 @@ func TestSkipPastEnd(t *testing.T) {
 	cfg := testConfig()
 	path := filepath.Join(t.TempDir(), "run.v2")
 	writeV2Trace(t, cfg, path, 2_000, 512)
-	if _, err := runFunctionalPoint(cfg, path, "", 1_000_000, nil); err == nil {
+	if _, err := runFunctionalPoint(cfg, path, "", 1_000_000); err == nil {
 		t.Fatal("-skip past the end of the trace accepted")
 	}
 }
@@ -279,7 +278,7 @@ func TestIntervalPointMatchesSerial(t *testing.T) {
 	path := filepath.Join(dir, "run.v2")
 	writeV2Trace(t, cfg, path, cfg.WarmupRefs+cfg.Refs, 512)
 
-	serial, err := runFunctionalPoint(cfg, path, "", 0, nil)
+	serial, err := runFunctionalPoint(cfg, path, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +457,6 @@ func TestStateCacheFlagConflicts(t *testing.T) {
 	}{
 		{[]string{"-trace-in", "-"}, "-trace-in"},
 		{[]string{"-trace-in", trace, "-skip", "100"}, "-skip"},
-		{[]string{"-fault-spec", "point:error:point=0"}, "-fault-spec"},
 		{[]string{"-mode", "timing"}, "-mode timing"},
 	} {
 		args := append([]string{"-refs", "1000", "-state-cache", t.TempDir()}, c.args...)

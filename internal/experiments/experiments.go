@@ -24,7 +24,6 @@ import (
 
 	"fpcache/internal/dcache"
 	"fpcache/internal/fault"
-	"fpcache/internal/faultinject"
 	"fpcache/internal/memtrace"
 	"fpcache/internal/sweep"
 	"fpcache/internal/synth"
@@ -81,9 +80,6 @@ type Options struct {
 	// FailureReport instead of failing the experiment with the
 	// lowest-indexed failure.
 	Tolerate bool
-	// Injector schedules faults for testing the machinery above; nil
-	// (always, outside fault-injection runs) injects nothing.
-	Injector *faultinject.Injector `json:"-"`
 
 	// rec collects the run's FailureReport when the caller asked for
 	// one (RowsWithReport); nil drops the records.
@@ -92,6 +88,11 @@ type Options struct {
 	// among the points of one experiment call; withDefaults gives every
 	// call that arrives without one a fresh cache.
 	templates *templateCache
+	// pointHook, when set, runs before each point's job with the
+	// point's index; an error or panic from it fails that point. Only
+	// this package's tests set it, to drive the failure handling above
+	// through real sweeps.
+	pointHook func(point int) error
 }
 
 // withDefaults is WithDefaults plus the per-call template cache. Every
@@ -192,8 +193,7 @@ func (r *failureRecorder) add(f Failure) {
 	r.mu.Unlock()
 }
 
-// nextSweep numbers pmap fan-outs for point keys when no injector is
-// tracking them.
+// nextSweep numbers pmap fan-outs for point keys.
 func (r *failureRecorder) nextSweep() int {
 	if r == nil {
 		return 0
@@ -236,20 +236,15 @@ func (r *failureRecorder) report(experiment string) *FailureReport {
 // lowest-indexed failure fails the experiment. The results of
 // successful points are byte-identical at any worker count.
 func pmap[T any](o Options, n int, job func(i int) (T, error)) ([]T, error) {
-	// Sweep ordinals come from the injector when one is scheduling (so
-	// its sweep= selectors and our point keys agree), else from the
-	// recorder; experiments launch sweeps sequentially, so numbering is
-	// deterministic either way.
-	var seq int
-	if o.Injector.Active() {
-		seq = o.Injector.NextSweep()
-	} else {
-		seq = o.rec.nextSweep()
-	}
+	// Experiments launch sweeps sequentially, so the recorder's
+	// ordinals are deterministic.
+	seq := o.rec.nextSweep()
 	out, failed := sweep.Map(o.workerCount(), n, sweep.Policy{Timeout: o.PointTimeout}, func(i int) (T, error) {
-		if err := o.Injector.Point(seq, i); err != nil {
-			var zero T
-			return zero, err
+		if o.pointHook != nil {
+			if err := o.pointHook(i); err != nil {
+				var zero T
+				return zero, err
+			}
 		}
 		return job(i)
 	})
@@ -433,22 +428,13 @@ func (o Options) buildTimingResized(spec system.DesignSpec, workload string, pol
 	})
 }
 
-// warmCache opens the configured state cache with the options' cap
-// and, under fault injection, the injector's stream wrappers.
+// warmCache opens the configured state cache with the options' cap.
 func (o Options) warmCache() (*system.WarmCache, error) {
 	cache, err := system.NewWarmCache(o.StateCache)
 	if err != nil {
 		return nil, err
 	}
 	cache.SetMaxBytes(o.StateCacheMaxBytes)
-	if o.Injector.Active() {
-		cache.WrapReader = func(r io.Reader) io.Reader {
-			return o.Injector.Reader(faultinject.SiteSnapshotRead, r)
-		}
-		cache.WrapWriter = func(w io.Writer) io.Writer {
-			return o.Injector.Writer(faultinject.SiteSnapshotWrite, w)
-		}
-	}
 	return cache, nil
 }
 

@@ -50,15 +50,17 @@ const warmStateKind = "fpcache-warmstate"
 // warmup snapshots; version 3 appended the resize policy state
 // section (the adaptive controller's window and climb registers);
 // version 4 marks the DRAM tracker gaining its precomputed address
-// decoder, which changed its carrier fingerprint but not its bytes.
-// Bumping either version invalidates old entries cleanly: the content
+// decoder, which changed its carrier fingerprint but not its bytes;
+// version 5 marks the warm cache's files gaining a CRC-32C trailer
+// (WarmCache.Store), so entries written without one miss instead of
+// quarantining. Bumping either version invalidates old entries cleanly: the content
 // key misses and the envelope check rejects.
 // The fplint snapmeta analyzer pins the serialized structs' field
 // layout to the fingerprint below; if it fires, update the codec, bump
 // this const, and refresh the directive.
 //
 //fplint:snapfields 0x3450f9ed
-const warmStateVersion = 4
+const warmStateVersion = 5
 
 // NewSimState builds the functional run state for a design, with DRAM
 // trackers configured per the design's policies.

@@ -1,9 +1,12 @@
 package system
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -11,6 +14,7 @@ import (
 	"time"
 
 	"fpcache/internal/dcache"
+	"fpcache/internal/fault"
 	"fpcache/internal/memtrace"
 )
 
@@ -30,12 +34,9 @@ type WarmCache struct {
 	dir string
 	// maxBytes caps the total size of stored snapshots; see SetMaxBytes.
 	maxBytes int64
-	// WrapReader/WrapWriter, when non-nil, wrap every snapshot file
-	// stream. They exist so a fault-injection harness can corrupt or
-	// fail cache I/O without the cache importing it; production runs
-	// leave them nil.
-	WrapReader func(io.Reader) io.Reader
-	WrapWriter func(io.Writer) io.Writer
+	// wrapWriter, when non-nil, wraps every snapshot file Store
+	// writes; only tests set it, to fail a write mid-snapshot.
+	wrapWriter func(io.Writer) io.Writer
 }
 
 // staleTempAge is how old an orphaned atomic-write temp file must be
@@ -171,15 +172,33 @@ func (c *WarmCache) Load(key WarmKey, s *SimState) (bool, *QuarantineEvent, erro
 		return false, nil, err
 	}
 	defer f.Close()
-	var r io.Reader = f
-	if c.WrapReader != nil {
-		r = c.WrapReader(r)
+	body, err := io.ReadAll(f)
+	if err == nil {
+		body, err = checkSum(body)
 	}
-	if err := s.Restore(r, key.Meta()); err != nil {
+	if err == nil {
+		err = s.Restore(bytes.NewReader(body), key.Meta())
+	}
+	if err != nil {
 		err = fmt.Errorf("system: restoring warm state %s: %w", c.path(key), err)
 		return false, c.quarantine(key, err), nil
 	}
 	return true, nil, nil
+}
+
+// sumTable is the CRC-32C table of the checksum that ends every cache
+// file. The snapshot codec has no integrity check of its own, and a
+// damaged body can still decode into a valid but different state.
+var sumTable = crc32.MakeTable(crc32.Castagnoli)
+
+// checkSum verifies a cache file's trailing big-endian CRC-32C and
+// returns the snapshot in front of it.
+func checkSum(file []byte) ([]byte, error) {
+	n := len(file) - crc32.Size
+	if n < 0 || crc32.Checksum(file[:n], sumTable) != binary.BigEndian.Uint32(file[n:]) {
+		return nil, fmt.Errorf("system: warm-state checksum mismatch: %w", fault.ErrCorruptSnapshot)
+	}
+	return file[:n], nil
 }
 
 // Warm returns key's warm state with src positioned at the first
@@ -251,9 +270,10 @@ func (c *WarmCache) quarantine(key WarmKey, cause error) *QuarantineEvent {
 	return ev
 }
 
-// Store writes s's snapshot for key, atomically (write to a temp file,
-// rename into place) so concurrent writers of the same key cannot
-// expose a torn snapshot, then enforces the size cap.
+// Store writes s's snapshot for key followed by its CRC-32C,
+// atomically (write to a temp file, rename into place) so concurrent
+// writers of the same key cannot expose a torn snapshot, then enforces
+// the size cap.
 func (c *WarmCache) Store(key WarmKey, s *SimState) error {
 	f, err := os.CreateTemp(c.dir, key.Hash()+".tmp*")
 	if err != nil {
@@ -261,10 +281,15 @@ func (c *WarmCache) Store(key WarmKey, s *SimState) error {
 	}
 	tmp := f.Name()
 	var w io.Writer = f
-	if c.WrapWriter != nil {
-		w = c.WrapWriter(w)
+	if c.wrapWriter != nil {
+		w = c.wrapWriter(w)
 	}
-	if err := s.Snapshot(w, key.Meta()); err != nil {
+	sum := crc32.New(sumTable)
+	err = s.Snapshot(io.MultiWriter(w, sum), key.Meta())
+	if err == nil {
+		_, err = w.Write(sum.Sum(nil))
+	}
+	if err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return fmt.Errorf("system: writing warm state: %w", err)

@@ -2,16 +2,20 @@ package system
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"fpcache/internal/fault"
 	"fpcache/internal/memtrace"
 	"fpcache/internal/synth"
+	"fpcache/internal/testutil"
 )
 
 // wcSpec is the small design the warm-cache robustness tests store.
@@ -25,9 +29,12 @@ func wcKey(seed int64) WarmKey {
 }
 
 // wcState builds a fresh SimState for wcSpec.
-func wcState(t *testing.T) *SimState {
+func wcState(t *testing.T) *SimState { return wcStateOf(t, wcSpec()) }
+
+// wcStateOf builds a fresh SimState for spec.
+func wcStateOf(t *testing.T, spec DesignSpec) *SimState {
 	t.Helper()
-	d, err := BuildDesign(wcSpec())
+	d, err := BuildDesign(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +123,7 @@ func TestWarmCacheStoreFailureLeavesNoLitter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache.WrapWriter = func(w io.Writer) io.Writer { return &failAfterWriter{w: w, n: 100} }
+	cache.wrapWriter = func(w io.Writer) io.Writer { return &failAfterWriter{w: w, n: 100} }
 	if err := cache.Store(wcKey(1), wcState(t)); err == nil {
 		t.Fatal("Store succeeded through a failing writer")
 	}
@@ -328,10 +335,11 @@ func TestWarmCacheWarm(t *testing.T) {
 		t.Fatalf("warm run quarantined: %v", ev.Err)
 	}
 
-	// Corrupt a byte deep in the design payload, so the restore fails
-	// after mutating part of the state.
-	bad := append([]byte(nil), stored...)
+	// Corrupt a byte deep in the design payload and reseal the
+	// checksum, so the restore fails after mutating part of the state.
+	bad := append([]byte(nil), stored[:len(stored)-crc32.Size]...)
 	bad[len(bad)/2] ^= 0x40
+	bad = binary.BigEndian.AppendUint32(bad, crc32.Checksum(bad, sumTable))
 	if err := os.WriteFile(path, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -371,4 +379,97 @@ func TestWarmCacheWarmRefusesShortSource(t *testing.T) {
 	if _, _, err := cache.Warm(key, short()); err == nil {
 		t.Fatal("restore over a short source succeeded")
 	}
+}
+
+// FuzzWarmCacheLoad mutates the bytes of a real stored snapshot and
+// loads the entry. The load either restores exactly the stored state
+// or quarantines the entry with fault.ErrCorruptSnapshot — never a
+// panic, never some other state. Each input is loaded a second time
+// with its checksum resealed, so the snapshot decoder sees the damage
+// too. The seeds are the damage the experiment-level quarantine test
+// inflicts (a flipped envelope bit, a read cut at 300 bytes, and a
+// torn write that kept 256), plus one rewritten payload byte that,
+// without the file checksum, decodes into a valid but different
+// state.
+func FuzzWarmCacheLoad(f *testing.F) {
+	const scale, warmup = 1.0 / 64, 2_000
+	key := WarmKey{Workload: synth.WebSearch, Seed: 11, Scale: scale, WarmupRefs: warmup,
+		Spec: DesignSpec{Kind: KindFootprint, PaperCapacityMB: 64, Scale: scale}}
+	cache, err := NewWarmCache(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	s, _, err := cache.Warm(key, testutil.SynthTrace(f, synth.WebSearch, 11, scale))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := s.Snapshot(&want, key.Meta()); err != nil {
+		f.Fatal(err)
+	}
+	stored, err := os.ReadFile(cache.path(key))
+	if err != nil {
+		f.Fatal(err)
+	}
+	flipped := append([]byte(nil), stored...)
+	flipped[3] ^= 1 << 6
+	rewritten := append([]byte(nil), stored...)
+	rewritten[1977] = 0x26
+	f.Add(stored)
+	f.Add(flipped)
+	f.Add(stored[:300])
+	f.Add(stored[:256])
+	f.Add(rewritten)
+
+	// load stores file as the entry and loads it. A miss must have
+	// quarantined the entry as a corrupt snapshot; a hit returns the
+	// restored state's snapshot.
+	load := func(t *testing.T, file []byte) (restored []byte, hit bool) {
+		dir := t.TempDir()
+		cache, err := NewWarmCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := cache.path(key)
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s := wcStateOf(t, key.Spec)
+		hit, ev, err := cache.Load(key, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hit {
+			var got bytes.Buffer
+			if err := s.Snapshot(&got, key.Meta()); err != nil {
+				t.Fatal(err)
+			}
+			return got.Bytes(), true
+		}
+		if ev == nil || !errors.Is(ev.Err, fault.ErrCorruptSnapshot) {
+			t.Fatalf("damaged entry missed without a corrupt-snapshot quarantine: %+v", ev)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("quarantined entry still in place: %v", err)
+		}
+		if ev.Path != filepath.Join(dir, QuarantineDirName, key.Hash()+".warm") {
+			t.Fatalf("entry quarantined to %q", ev.Path)
+		}
+		if _, err := os.Stat(ev.Path); err != nil {
+			t.Fatalf("quarantined entry missing: %v", err)
+		}
+		return nil, false
+	}
+
+	f.Fuzz(func(t *testing.T, file []byte) {
+		if got, hit := load(t, file); hit && !bytes.Equal(got, want.Bytes()) {
+			t.Fatal("load restored a state that differs from the stored one")
+		}
+		// With the checksum resealed the damage reaches the snapshot
+		// decoder. It may accept a valid but different state; it must
+		// still neither panic nor fail untyped.
+		if n := len(file) - crc32.Size; n >= 0 {
+			load(t, binary.BigEndian.AppendUint32(file[:n:n], crc32.Checksum(file[:n], sumTable)))
+		}
+	})
 }
