@@ -425,14 +425,20 @@ func runCached(cfg fpcache.Config, src memtrace.Source, traceID string, cache *s
 	}
 	state, quarantined, err := cache.Warm(key, src)
 	if quarantined != nil {
-		fmt.Fprintf(os.Stderr, "fpsim: %s/%s/%dMB: quarantined warm state [%s]: %v\n",
-			cfg.Workload, cfg.Design, cfg.PaperCapacityMB, fault.ClassOf(quarantined.Err), quarantined.Err)
+		reportQuarantine(cfg, *quarantined)
 	}
 	if err != nil {
 		return fpcache.FunctionalResult{}, err
 	}
 	state.SetPolicy(cfg.ResizePolicy())
 	return state.Measure(src, cfg.Refs)
+}
+
+// reportQuarantine reports a corrupt cache entry on stderr; the run
+// rebuilt the state cold, so its report is unaffected.
+func reportQuarantine(cfg fpcache.Config, q system.QuarantineEvent) {
+	fmt.Fprintf(os.Stderr, "fpsim: %s/%s/%dMB: quarantined warm state [%s]: %v\n",
+		cfg.Workload, cfg.Design, cfg.PaperCapacityMB, fault.ClassOf(q.Err), q.Err)
 }
 
 // designSpec is cfg's design as the state cache keys it.
@@ -509,6 +515,9 @@ func runIntervalPoint(w io.Writer, cfg fpcache.Config, mode, traceIn string, cac
 	rep, err := system.RunIntervals(tr, opt)
 	if err != nil {
 		return err
+	}
+	for _, q := range rep.Quarantined {
+		reportQuarantine(cfg, q)
 	}
 	if rep.Timing != nil {
 		printTiming(w, cfg, *rep.Timing)

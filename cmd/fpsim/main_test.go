@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -310,6 +311,48 @@ func TestIntervalPointMatchesSerial(t *testing.T) {
 	}
 	if !strings.Contains(warm, "restored 4") {
 		t.Fatalf("warm run did not restore every boundary checkpoint:\n%s", warm)
+	}
+}
+
+// TestIntervalStateCacheReportsQuarantine damages every boundary
+// checkpoint an -intervals run stored and reruns it: each entry is
+// quarantined and reported on stderr exactly once, and the report is
+// byte-identical to the cold run's, which stored the same checkpoints.
+func TestIntervalStateCacheReportsQuarantine(t *testing.T) {
+	cfg := testConfig()
+	tmp := t.TempDir()
+	trace := filepath.Join(tmp, "run.v2")
+	writeV2Trace(t, cfg, trace, cfg.WarmupRefs+cfg.Refs, 512)
+	dir := filepath.Join(tmp, "ckpt")
+	args := append(pointArgs("mapreduce", "footprint"), "-trace-in", trace, "-intervals", "4", "-j", "2", "-state-cache", dir)
+
+	cold := fpsimOK(t, args...)
+	entries := cacheEntries(t, dir)
+	if len(entries) == 0 || !strings.Contains(cold, fmt.Sprintf("restored 0 stored %d", len(entries))) {
+		t.Fatalf("cold run stored %d checkpoints:\n%s", len(entries), cold)
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[3] ^= 1 << 6
+		if err := os.WriteFile(e, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, errOut, code := fpsim(t, args...)
+	if code != 0 || got != cold {
+		t.Fatalf("damaged checkpoints: exit %d, report differs from the cold run %v\n%s", code, got != cold, errOut)
+	}
+	lines := strings.Split(strings.TrimSpace(errOut), "\n")
+	if len(lines) != len(entries) {
+		t.Fatalf("%d stderr lines for %d damaged checkpoints:\n%s", len(lines), len(entries), errOut)
+	}
+	for _, e := range entries {
+		if n := strings.Count(errOut, e+":"); n != 1 || !strings.Contains(errOut, "quarantined warm state") {
+			t.Errorf("checkpoint %s reported %d times:\n%s", e, n, errOut)
+		}
 	}
 }
 

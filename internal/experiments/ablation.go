@@ -34,7 +34,7 @@ func SingletonRows(o Options) ([]SingletonRow, error) {
 	o = o.withDefaults()
 	kinds := []string{system.KindFootprint, system.KindFootprintNoSingleton}
 	pts := o.grid()
-	miss, err := pmap(o, len(pts)*len(kinds), func(i int) (float64, error) {
+	miss, err := pmap(o, len(pts)*len(kinds), byWorkload(o.Workloads, len(o.Capacities)*len(kinds)), func(i int) (float64, error) {
 		pt, kind := pts[i/len(kinds)], kinds[i%len(kinds)]
 		res, err := o.buildFunctional(system.DesignSpec{
 			Kind: kind, PaperCapacityMB: pt.capacityMB, Scale: o.Scale,
@@ -74,7 +74,7 @@ func FetchPolicyRows(o Options) ([]FetchPolicyRow, error) {
 	o = o.withDefaults()
 	kinds := []string{system.KindSubblock, system.KindFootprint, system.KindPage}
 	type meas struct{ miss, bytesPerRef float64 }
-	res, err := pmap(o, len(o.Workloads)*len(kinds), func(i int) (meas, error) {
+	res, err := pmap(o, len(o.Workloads)*len(kinds), byWorkload(o.Workloads, len(kinds)), func(i int) (meas, error) {
 		wl, kind := o.Workloads[i/len(kinds)], kinds[i%len(kinds)]
 		r, err := o.buildFunctional(system.DesignSpec{
 			Kind: kind, PaperCapacityMB: 256, Scale: o.Scale,
@@ -122,7 +122,7 @@ func FeedbackRows(o Options) ([]FeedbackRow, error) {
 	o = o.withDefaults()
 	kinds := []string{system.KindFootprint, system.KindFootprintUnion}
 	type meas struct{ miss, bytesPerRef, cover, over float64 }
-	res, err := pmap(o, len(o.Workloads)*len(kinds), func(i int) (meas, error) {
+	res, err := pmap(o, len(o.Workloads)*len(kinds), byWorkload(o.Workloads, len(kinds)), func(i int) (meas, error) {
 		wl, kind := o.Workloads[i/len(kinds)], kinds[i%len(kinds)]
 		r, err := o.buildFunctional(system.DesignSpec{
 			Kind: kind, PaperCapacityMB: 256, Scale: o.Scale,

@@ -109,7 +109,7 @@ func AdaptiveRows(o Options) ([]AdaptiveRow, error) {
 	o = adaptiveOptions(o)
 	const wl = synth.PhaseShift
 	nPer := len(adaptiveMemPcts) + 1 // static splits + the adaptive row
-	rows, err := pmap(o, nPer, func(i int) (AdaptiveRow, error) {
+	rows, err := pmap(o, nPer, byWorkload([]string{wl}, nPer), func(i int) (AdaptiveRow, error) {
 		adaptive := i == len(adaptiveMemPcts)
 		pct := 0
 		var pol system.ResizePolicy

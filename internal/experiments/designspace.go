@@ -66,7 +66,7 @@ func DesignSpaceRows(o Options) ([]DesignSpaceRow, error) {
 			pts = append(pts, point{wl, c})
 		}
 	}
-	return pmap(o, len(pts), func(i int) (DesignSpaceRow, error) {
+	return pmap(o, len(pts), byWorkload(o.Workloads, len(combos)), func(i int) (DesignSpaceRow, error) {
 		pt := pts[i]
 		res, err := o.buildFunctional(system.DesignSpec{
 			Alloc: pt.c.alloc, Mapping: pt.c.mapping, Fill: pt.c.fill,

@@ -84,10 +84,10 @@ type Options struct {
 	// rec collects the run's FailureReport when the caller asked for
 	// one (RowsWithReport); nil drops the records.
 	rec *failureRecorder
-	// templates shares each workload's read-only footprint templates
+	// traces shares each workload's templates and recorded stream
 	// among the points of one experiment call; withDefaults gives every
 	// call that arrives without one a fresh cache.
-	templates *templateCache
+	traces *traceCache
 	// pointHook, when set, runs before each point's job with the
 	// point's index; an error or panic from it fails that point. Only
 	// this package's tests set it, to drive the failure handling above
@@ -95,13 +95,14 @@ type Options struct {
 	pointHook func(point int) error
 }
 
-// withDefaults is WithDefaults plus the per-call template cache. Every
+// withDefaults is WithDefaults plus the per-call trace cache. Every
 // experiment entry point starts with it, so each call derives each
-// workload's templates once and nested calls share them.
+// workload's templates once, nested calls share them, and each sweep
+// generates each workload's records once.
 func (o Options) withDefaults() Options {
 	o = o.WithDefaults()
-	if o.templates == nil {
-		o.templates = &templateCache{}
+	if o.traces == nil {
+		o.traces = &traceCache{}
 	}
 	return o
 }
@@ -235,11 +236,25 @@ func (r *failureRecorder) report(experiment string) *FailureReport {
 // lands in the failure recorder. Without Options.Tolerate the
 // lowest-indexed failure fails the experiment. The results of
 // successful points are byte-identical at any worker count.
-func pmap[T any](o Options, n int, job func(i int) (T, error)) ([]T, error) {
+//
+// workload names the workload whose stream point i reads (nil when no
+// point reads one). Points take their workload's shared recording,
+// which is released once the workload's last point settles, whether it
+// succeeded, failed, panicked or timed out. Callers number points
+// workload-major, all of a workload's points in one run, so the pool
+// holds at most one recording per worker.
+func pmap[T any](o Options, n int, workload func(i int) string, job func(i int) (T, error)) ([]T, error) {
 	// Experiments launch sweeps sequentially, so the recorder's
 	// ordinals are deterministic.
 	seq := o.rec.nextSweep()
-	out, failed := sweep.Map(o.workerCount(), n, sweep.Policy{Timeout: o.PointTimeout}, func(i int) (T, error) {
+	pol := sweep.Policy{Timeout: o.PointTimeout}
+	if workload != nil {
+		for i := 0; i < n; i++ {
+			o.traces.register(workload(i))
+		}
+		pol.Settled = func(i int) { o.traces.settle(workload(i)) }
+	}
+	out, failed := sweep.Map(o.workerCount(), n, pol, func(i int) (T, error) {
 		if o.pointHook != nil {
 			if err := o.pointHook(i); err != nil {
 				var zero T
@@ -262,6 +277,12 @@ func pmap[T any](o Options, n int, job func(i int) (T, error)) ([]T, error) {
 	return out, nil
 }
 
+// byWorkload maps point i of a workload-major sweep with per points per
+// workload to its workload.
+func byWorkload(workloads []string, per int) func(i int) string {
+	return func(i int) string { return workloads[i/per] }
+}
+
 // gridPoint is one (workload, capacity) cell of an experiment grid.
 type gridPoint struct {
 	workload   string
@@ -280,59 +301,112 @@ func (o Options) grid() []gridPoint {
 	return pts
 }
 
-// templateCache maps each workload to its footprint templates for the
-// points of one experiment call, all at that call's seed. The first
-// point of a workload derives the table and every later point, on any
-// worker, builds its generator on it; templates are read-only, so
-// sharing them changes no record. Generator state stays per point.
-type templateCache struct {
-	mu     sync.Mutex
-	tables map[string]*templateSlot
+// traceCache holds, for the points of one experiment call, each
+// workload's footprint templates and, while a sweep still has points
+// to run on the workload, its recording (synth.Recording), all at that
+// call's seed and scale. The first
+// point of a workload records its stream; every later point, on any
+// worker, replays it, so one generator produces every record and
+// sharing changes none. pmap registers a sweep's points up front and
+// releases a workload's recording when its last point settles, so
+// with points dispatched workload-major at most one recording per
+// worker is held. Release drops only the cache's reference: a reader
+// still running, such as a timed-out point, keeps reading its records.
+type traceCache struct {
+	mu      sync.Mutex
+	entries map[string]*traceEntry
+	// track, when set, sees every recording the cache starts holding
+	// (+1) and lets go of (-1). Only this package's tests set it.
+	track func(workload string, delta int)
 }
 
-// templateSlot derives one table exactly once, however many points
-// ask for it concurrently.
-type templateSlot struct {
-	once sync.Once
-	t    *synth.Templates
-	err  error
+// traceEntry is one workload's slot. pending counts the registered
+// sweep points that have not settled; rec is held only while it is
+// positive.
+type traceEntry struct {
+	mu      sync.Mutex
+	tmpl    *synth.Templates
+	rec     *synth.Recording
+	pending int
 }
 
-// get returns the workload's template table at the seed, deriving it
-// on first use.
-func (c *templateCache) get(workload string, seed int64) (*synth.Templates, error) {
+// entry returns the workload's slot, creating it empty.
+func (c *traceCache) entry(workload string) *traceEntry {
 	c.mu.Lock()
-	if c.tables == nil {
-		c.tables = map[string]*templateSlot{}
+	defer c.mu.Unlock()
+	if c.entries == nil {
+		c.entries = map[string]*traceEntry{}
 	}
-	s := c.tables[workload]
-	if s == nil {
-		s = &templateSlot{}
-		c.tables[workload] = s
+	e := c.entries[workload]
+	if e == nil {
+		e = &traceEntry{}
+		c.entries[workload] = e
 	}
-	c.mu.Unlock()
-	s.once.Do(func() {
+	return e
+}
+
+// register adds a pending point to the workload's slot.
+func (c *traceCache) register(workload string) {
+	e := c.entry(workload)
+	e.mu.Lock()
+	e.pending++
+	e.mu.Unlock()
+}
+
+// settle retires one registered point of the workload's slot and
+// releases the recording with the last one.
+func (c *traceCache) settle(workload string) {
+	e := c.entry(workload)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.pending--
+	if e.pending == 0 && e.rec != nil {
+		e.rec = nil
+		if c.track != nil {
+			c.track(workload, -1)
+		}
+	}
+}
+
+// replay returns a reader at the start of the workload's stream and
+// the generator's scaled profile. A reader no other point will share with
+// (outside a sweep, or the workload's one point left to settle when
+// nothing is recorded yet) streams a recording of its own instead.
+func (c *traceCache) replay(workload string, seed int64, scale float64) (*synth.Replay, synth.Profile, error) {
+	e := c.entry(workload)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.tmpl == nil {
 		prof, err := synth.ByName(workload)
 		if err != nil {
-			s.err = err
-			return
+			return nil, synth.Profile{}, err
 		}
-		s.t, s.err = synth.NewTemplates(prof, seed)
-	})
-	return s.t, s.err
+		if e.tmpl, err = synth.NewTemplates(prof, seed); err != nil {
+			return nil, synth.Profile{}, err
+		}
+	}
+	rec := e.rec
+	if rec == nil {
+		var err error
+		if e.pending <= 1 {
+			rec, err = e.tmpl.NewStream(scale)
+		} else if rec, err = e.tmpl.NewRecording(scale); err == nil {
+			e.rec = rec
+			if c.track != nil {
+				c.track(workload, +1)
+			}
+		}
+		if err != nil {
+			return nil, synth.Profile{}, err
+		}
+	}
+	return rec.Replay(), rec.Profile(), nil
 }
 
-// trace builds a generator for a workload at the options' scale.
+// trace returns a replay of a workload's stream at the options' seed
+// and scale.
 func (o Options) trace(workload string) (memtrace.Source, synth.Profile, error) {
-	tmpl, err := o.templates.get(workload, o.Seed)
-	if err != nil {
-		return nil, synth.Profile{}, err
-	}
-	gen, err := tmpl.NewGenerator(o.Scale)
-	if err != nil {
-		return nil, synth.Profile{}, err
-	}
-	return gen, gen.Profile(), nil
+	return o.traces.replay(workload, o.Seed, o.Scale)
 }
 
 // runFunctional is the common functional-mode step.
@@ -461,24 +535,31 @@ func (o Options) warmState(spec system.DesignSpec, workload string) (*system.Sim
 		Spec:       spec,
 	}, src)
 	if quarantined != nil {
-		class := fault.ClassOf(quarantined.Err)
-		if class == fault.ClassUnknown {
-			class = fault.ClassCorruptSnapshot
-		}
-		// The content-hash prefix disambiguates points that share a
-		// (workload, kind, capacity) label but differ in other spec
-		// fields, keeping the sorted report deterministic.
-		o.rec.add(Failure{
-			Point:       fmt.Sprintf("%s/%s/%dMB/%.12s", workload, spec.Kind, spec.PaperCapacityMB, quarantined.Key),
-			Class:       class,
-			Disposition: DispositionQuarantined,
-			Error:       quarantined.Err.Error(),
-		})
+		o.recordQuarantine(workload, spec, *quarantined)
 	}
 	if err != nil {
 		return nil, nil, synth.Profile{}, err
 	}
 	return state, src, prof, nil
+}
+
+// recordQuarantine adds a quarantined cache entry of a workload's point
+// to the failure report.
+func (o Options) recordQuarantine(workload string, spec system.DesignSpec, q system.QuarantineEvent) {
+	class := fault.ClassOf(q.Err)
+	if class == fault.ClassUnknown {
+		class = fault.ClassCorruptSnapshot
+	}
+	// The content-hash prefix disambiguates points that share a
+	// (workload, kind, capacity) label but differ in other spec fields
+	// or, for interval checkpoints, in their start record, keeping the
+	// sorted report deterministic.
+	o.rec.add(Failure{
+		Point:       fmt.Sprintf("%s/%s/%dMB/%.12s", workload, spec.Kind, spec.PaperCapacityMB, q.Key),
+		Class:       class,
+		Disposition: DispositionQuarantined,
+		Error:       q.Err.Error(),
+	})
 }
 
 // Runner is the common shape of every experiment driver.

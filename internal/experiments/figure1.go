@@ -59,7 +59,7 @@ func highBWConfig(halfLatency bool) dram.Config {
 func Figure1Rows(o Options) ([]Figure1Row, error) {
 	o = o.withDefaults()
 	const variants = 3 // baseline, high-BW, high-BW + low-latency
-	ipcs, err := pmap(o, variants*len(o.Workloads), func(i int) (float64, error) {
+	ipcs, err := pmap(o, variants*len(o.Workloads), byWorkload(o.Workloads, variants), func(i int) (float64, error) {
 		wl, variant := o.Workloads[i/variants], i%variants
 		if variant == 0 {
 			res, err := o.runTiming(dcache.NewBaseline(), wl)

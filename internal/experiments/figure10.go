@@ -26,7 +26,7 @@ func energyRows(o Options) ([]EnergyRow, error) {
 	o = o.withDefaults()
 	kinds := []string{system.KindBaseline, system.KindBlock, system.KindPage, system.KindFootprint}
 	type slot struct{ OffChip, Stacked energy.Breakdown }
-	slots, err := pmap(o, len(o.Workloads)*len(kinds), func(i int) (slot, error) {
+	slots, err := pmap(o, len(o.Workloads)*len(kinds), byWorkload(o.Workloads, len(kinds)), func(i int) (slot, error) {
 		wl := o.Workloads[i/len(kinds)]
 		kind := kinds[i%len(kinds)]
 		res, err := o.buildTiming(system.DesignSpec{

@@ -28,7 +28,7 @@ type Figure12Row struct {
 func Figure12Rows(o Options) ([]Figure12Row, error) {
 	o = o.withDefaults()
 	const pageBytes = 4096 // CHOP's optimal page size (§6.7)
-	return pmap(o, len(o.Workloads), func(i int) (Figure12Row, error) {
+	return pmap(o, len(o.Workloads), byWorkload(o.Workloads, 1), func(i int) (Figure12Row, error) {
 		wl := o.Workloads[i]
 		src, _, err := o.trace(wl)
 		if err != nil {

@@ -28,7 +28,7 @@ type Figure4Row struct {
 func Figure4Rows(o Options) ([]Figure4Row, error) {
 	o = o.withDefaults()
 	pts := o.grid()
-	return pmap(o, len(pts), func(i int) (Figure4Row, error) {
+	return pmap(o, len(pts), byWorkload(o.Workloads, len(o.Capacities)), func(i int) (Figure4Row, error) {
 		wl, mb := pts[i].workload, pts[i].capacityMB
 		design, err := system.BuildDesign(system.DesignSpec{
 			Kind: system.KindPage, PaperCapacityMB: mb, Scale: o.Scale,

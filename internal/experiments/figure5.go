@@ -20,30 +20,23 @@ type Figure5Row struct {
 }
 
 // Figure5Rows measures miss ratio and off-chip traffic for the
-// page-based, Footprint, and block-based designs (§6.2). The
-// per-workload baselines (the traffic normalizer) sweep first; the
-// (workload, capacity, design) grid sweeps second.
+// page-based, Footprint, and block-based designs (§6.2). One sweep runs
+// each workload's points together: its no-cache baseline (the traffic
+// normalizer), then its (capacity, design) grid.
 func Figure5Rows(o Options) ([]Figure5Row, error) {
 	o = o.withDefaults()
-	baseBW, err := pmap(o, len(o.Workloads), func(i int) (float64, error) {
-		base, err := o.buildFunctional(system.DesignSpec{Kind: system.KindBaseline}, o.Workloads[i])
-		if err != nil {
-			return 0, err
-		}
-		return base.OffChipBytesPerRef(), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
 	kinds := []string{system.KindPage, system.KindFootprint, system.KindBlock}
-	pts := o.grid()
+	nPer := 1 + len(o.Capacities)*len(kinds) // baseline + grid
 	type meas struct{ miss, bytesPerRef float64 }
-	res, err := pmap(o, len(pts)*len(kinds), func(i int) (meas, error) {
-		pt, kind := pts[i/len(kinds)], kinds[i%len(kinds)]
-		r, err := o.buildFunctional(system.DesignSpec{
-			Kind: kind, PaperCapacityMB: pt.capacityMB, Scale: o.Scale,
-		}, pt.workload)
+	res, err := pmap(o, len(o.Workloads)*nPer, byWorkload(o.Workloads, nPer), func(i int) (meas, error) {
+		wl, j := o.Workloads[i/nPer], i%nPer
+		spec := system.DesignSpec{Kind: system.KindBaseline}
+		if j > 0 {
+			spec = system.DesignSpec{
+				Kind: kinds[(j-1)%len(kinds)], PaperCapacityMB: o.Capacities[(j-1)/len(kinds)], Scale: o.Scale,
+			}
+		}
+		r, err := o.buildFunctional(spec, wl)
 		if err != nil {
 			return meas{}, err
 		}
@@ -54,19 +47,21 @@ func Figure5Rows(o Options) ([]Figure5Row, error) {
 	}
 
 	var rows []Figure5Row
-	for pi, pt := range pts {
-		base := baseBW[pi/len(o.Capacities)]
-		m := res[pi*len(kinds) : (pi+1)*len(kinds)]
-		rows = append(rows, Figure5Row{
-			Workload:      pt.workload,
-			CapacityMB:    pt.capacityMB,
-			MissPage:      m[0].miss,
-			MissFootprint: m[1].miss,
-			MissBlock:     m[2].miss,
-			BWPage:        stats.Ratio(m[0].bytesPerRef, base),
-			BWFootprint:   stats.Ratio(m[1].bytesPerRef, base),
-			BWBlock:       stats.Ratio(m[2].bytesPerRef, base),
-		})
+	for wi, wl := range o.Workloads {
+		base := res[wi*nPer].bytesPerRef
+		for ci, mb := range o.Capacities {
+			m := res[wi*nPer+1+ci*len(kinds):][:len(kinds)]
+			rows = append(rows, Figure5Row{
+				Workload:      wl,
+				CapacityMB:    mb,
+				MissPage:      m[0].miss,
+				MissFootprint: m[1].miss,
+				MissBlock:     m[2].miss,
+				BWPage:        stats.Ratio(m[0].bytesPerRef, base),
+				BWFootprint:   stats.Ratio(m[1].bytesPerRef, base),
+				BWBlock:       stats.Ratio(m[2].bytesPerRef, base),
+			})
+		}
 	}
 	return rows, nil
 }

@@ -18,36 +18,26 @@ type PerfRow struct {
 	Block, Page, Footprint, Ideal float64
 }
 
-// perfRows runs the timing comparison for the given workloads. The
-// capacity-independent anchors (baseline and ideal, once per
-// workload) sweep first, then the full (workload, capacity, design)
-// timing grid.
+// perfRows runs the timing comparison for the given workloads. One
+// sweep runs each workload's points together: the capacity-independent
+// anchors (baseline and ideal), then its (capacity, design) grid.
 func perfRows(o Options, workloads []string) ([]PerfRow, error) {
-	anchors, err := pmap(o, 2*len(workloads), func(i int) (float64, error) {
-		wl := workloads[i/2]
-		kind := system.KindBaseline
-		if i%2 == 1 {
-			kind = system.KindIdeal // capacity-independent; once per workload
-		}
-		res, err := o.buildTiming(system.DesignSpec{Kind: kind}, wl)
-		if err != nil {
-			return 0, err
-		}
-		return res.AggIPC(), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
 	kinds := []string{system.KindBlock, system.KindPage, system.KindFootprint}
-	nPer := len(o.Capacities) * len(kinds)
-	ipcs, err := pmap(o, len(workloads)*nPer, func(i int) (float64, error) {
-		wl := workloads[i/nPer]
-		mb := o.Capacities[i%nPer/len(kinds)]
-		kind := kinds[i%len(kinds)]
-		res, err := o.buildTiming(system.DesignSpec{
-			Kind: kind, PaperCapacityMB: mb, Scale: o.Scale,
-		}, wl)
+	nPer := 2 + len(o.Capacities)*len(kinds) // baseline, ideal, grid
+	ipcs, err := pmap(o, len(workloads)*nPer, byWorkload(workloads, nPer), func(i int) (float64, error) {
+		wl, j := workloads[i/nPer], i%nPer
+		var spec system.DesignSpec
+		switch j {
+		case 0:
+			spec.Kind = system.KindBaseline
+		case 1:
+			spec.Kind = system.KindIdeal // capacity-independent; once per workload
+		default:
+			spec = system.DesignSpec{
+				Kind: kinds[(j-2)%len(kinds)], PaperCapacityMB: o.Capacities[(j-2)/len(kinds)], Scale: o.Scale,
+			}
+		}
+		res, err := o.buildTiming(spec, wl)
 		if err != nil {
 			return 0, err
 		}
@@ -59,9 +49,9 @@ func perfRows(o Options, workloads []string) ([]PerfRow, error) {
 
 	var rows []PerfRow
 	for wi, wl := range workloads {
-		base, ideal := anchors[wi*2], anchors[wi*2+1]
+		base, ideal := ipcs[wi*nPer], ipcs[wi*nPer+1]
 		for ci, mb := range o.Capacities {
-			off := wi*nPer + ci*len(kinds)
+			off := wi*nPer + 2 + ci*len(kinds)
 			rows = append(rows, PerfRow{
 				Workload:   wl,
 				CapacityMB: mb,

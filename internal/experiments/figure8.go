@@ -27,7 +27,7 @@ func Figure8Rows(o Options) ([]Figure8Row, error) {
 	o = o.withDefaults()
 	pageSizes := []int{1024, 2048, 4096}
 	_ = core.Stats{} // keep the core dependency explicit
-	return pmap(o, len(o.Workloads)*len(pageSizes), func(i int) (Figure8Row, error) {
+	return pmap(o, len(o.Workloads)*len(pageSizes), byWorkload(o.Workloads, len(pageSizes)), func(i int) (Figure8Row, error) {
 		wl := o.Workloads[i/len(pageSizes)]
 		pageBytes := pageSizes[i%len(pageSizes)]
 		res, err := o.buildFunctional(system.DesignSpec{

@@ -21,7 +21,7 @@ type Figure9Row struct {
 // number of FHT entries (256MB cache, 2KB pages, §6.4).
 func Figure9Rows(o Options) ([]Figure9Row, error) {
 	o = o.withDefaults()
-	ratios, err := pmap(o, len(o.Workloads)*len(FHTSizes), func(i int) (float64, error) {
+	ratios, err := pmap(o, len(o.Workloads)*len(FHTSizes), byWorkload(o.Workloads, len(FHTSizes)), func(i int) (float64, error) {
 		wl := o.Workloads[i/len(FHTSizes)]
 		entries := FHTSizes[i%len(FHTSizes)]
 		res, err := o.buildFunctional(system.DesignSpec{

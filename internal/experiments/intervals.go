@@ -69,7 +69,7 @@ func IntervalRows(o Options) ([]IntervalRow, error) {
 	o = o.withDefaults()
 	var rows []IntervalRow
 	for _, wl := range o.Workloads {
-		wrows, err := intervalWorkloadRows(o, wl)
+		wrows, err := intervalWorkloadRows(o, wl, "")
 		if err != nil {
 			return nil, err
 		}
@@ -78,8 +78,10 @@ func IntervalRows(o Options) ([]IntervalRow, error) {
 	return rows, nil
 }
 
-// intervalWorkloadRows runs the four modes over one workload's trace.
-func intervalWorkloadRows(o Options, wl string) ([]IntervalRow, error) {
+// intervalWorkloadRows runs the four modes over one workload's trace,
+// keeping boundary checkpoints in ckptDir (a fresh directory when
+// empty). Checkpoints found corrupt land in the failure report.
+func intervalWorkloadRows(o Options, wl, ckptDir string) ([]IntervalRow, error) {
 	dir, err := os.MkdirTemp("", "fpcache-intervals-*")
 	if err != nil {
 		return nil, err
@@ -126,7 +128,10 @@ func intervalWorkloadRows(o Options, wl string) ([]IntervalRow, error) {
 		return nil, err
 	}
 
-	cache, err := system.NewWarmCache(filepath.Join(dir, "ckpt"))
+	if ckptDir == "" {
+		ckptDir = filepath.Join(dir, "ckpt")
+	}
+	cache, err := system.NewWarmCache(ckptDir)
 	if err != nil {
 		return nil, err
 	}
@@ -150,6 +155,9 @@ func intervalWorkloadRows(o Options, wl string) ([]IntervalRow, error) {
 		rep, err := system.RunIntervals(tr, run)
 		if err != nil {
 			return fmt.Errorf("%s interval run: %w", name, err)
+		}
+		for _, q := range rep.Quarantined {
+			o.recordQuarantine(wl, spec, q)
 		}
 		//fplint:ignore determinism feeds the documented wall-clock Seconds/Speedup fields; parity checks exclude them
 		secs := time.Since(start).Seconds()

@@ -2,9 +2,13 @@ package experiments
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"fpcache/internal/fault"
 	"fpcache/internal/synth"
+	"fpcache/internal/testutil"
 )
 
 // stripTiming zeroes the wall-clock fields so rows can be compared
@@ -99,5 +103,53 @@ func TestIntervalRowsDeterministic(t *testing.T) {
 	}
 	if byMode["sampled"].HitRatioCI95 <= 0 {
 		t.Errorf("sampled CI95 = %v, want > 0", byMode["sampled"].HitRatioCI95)
+	}
+}
+
+// TestIntervalCheckpointQuarantine damages every boundary checkpoint
+// the study stored and runs it again over the same directory: each
+// checkpoint lands in the failure report once, as quarantined, and
+// the rows equal the first run's, whose cold mode found no checkpoint
+// either.
+func TestIntervalCheckpointQuarantine(t *testing.T) {
+	o := tiny()
+	o.Refs, o.WarmupRefs, o.Workers = 24_000, 8_000, 2
+	o = o.withDefaults()
+	dir := t.TempDir()
+	first, err := intervalWorkloadRows(o, synth.WebSearch, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := filepath.Glob(filepath.Join(dir, "*.warm"))
+	if err != nil || len(entries) == 0 {
+		t.Fatalf("first run stored %d checkpoints (%v)", len(entries), err)
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[3] ^= 1 << 6
+		if err := os.WriteFile(e, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	o.rec = &failureRecorder{}
+	again, err := intervalWorkloadRows(o, synth.WebSearch, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := testutil.AsJSON(t, stripTiming(again)), testutil.AsJSON(t, stripTiming(first)); got != want {
+		t.Fatalf("rows after the quarantine differ:\nfirst: %s\nagain: %s", want, got)
+	}
+	rep := o.rec.report("intervals")
+	if len(rep.Failures) != len(entries) {
+		t.Fatalf("%d report entries for %d damaged checkpoints: %s", len(rep.Failures), len(entries), testutil.AsJSON(t, rep))
+	}
+	for i, f := range rep.Failures {
+		if f.Disposition != DispositionQuarantined || f.Class != fault.ClassCorruptSnapshot ||
+			i > 0 && f.Point == rep.Failures[i-1].Point {
+			t.Errorf("entry %d = %s, want one quarantined corrupt snapshot per checkpoint", i, testutil.AsJSON(t, f))
+		}
 	}
 }

@@ -35,7 +35,7 @@ var latencyDesigns = []string{system.KindBlock, system.KindPage, system.KindFoot
 func LatencyRows(o Options) ([]LatencyRow, error) {
 	o = o.withDefaults()
 	nPer := len(latencyDesigns) * len(o.Capacities)
-	rows, err := pmap(o, len(o.Workloads)*nPer, func(i int) (LatencyRow, error) {
+	rows, err := pmap(o, len(o.Workloads)*nPer, byWorkload(o.Workloads, nPer), func(i int) (LatencyRow, error) {
 		wl := o.Workloads[i/nPer]
 		mb := o.Capacities[i%nPer/len(latencyDesigns)]
 		kind := latencyDesigns[i%len(latencyDesigns)]

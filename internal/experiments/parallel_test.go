@@ -87,9 +87,9 @@ func TestRowsRegistryMatchesRenderers(t *testing.T) {
 	}
 }
 
-// TestTemplateCachePerCall pins the shared-template contract: one
-// experiment call derives one table per workload, and its rows do not
-// depend on how many workers share the tables.
+// TestTemplateCachePerCall pins the shared-trace contract: one
+// experiment call keeps one cache slot (templates and recording) per
+// workload, and its rows do not depend on how many workers share them.
 func TestTemplateCachePerCall(t *testing.T) {
 	o := tiny()
 	o.Refs, o.WarmupRefs = 10_000, 10_000
@@ -97,7 +97,7 @@ func TestTemplateCachePerCall(t *testing.T) {
 	var want any
 	for _, workers := range []int{1, 4} {
 		o.Workers = workers
-		o.templates = &templateCache{}
+		o.traces = &traceCache{}
 		rows, report, err := RowsWithReport("figure5", o)
 		if err != nil {
 			t.Fatal(err)
@@ -105,8 +105,8 @@ func TestTemplateCachePerCall(t *testing.T) {
 		if len(report.Failures) != 0 {
 			t.Fatalf("workers=%d: failures %+v", workers, report.Failures)
 		}
-		if got := len(o.templates.tables); got != len(o.Workloads) {
-			t.Fatalf("workers=%d: cache holds %d tables, want %d", workers, got, len(o.Workloads))
+		if got := len(o.traces.entries); got != len(o.Workloads) {
+			t.Fatalf("workers=%d: cache holds %d slots, want %d", workers, got, len(o.Workloads))
 		}
 		if want == nil {
 			want = rows

@@ -64,7 +64,7 @@ type PartitionRow struct {
 func PartitionRows(o Options) ([]PartitionRow, error) {
 	o = o.withDefaults()
 	nPer := len(partitionMemPcts) + 1 // static shares + the dynamic row
-	rows, err := pmap(o, len(o.Workloads)*nPer, func(i int) (PartitionRow, error) {
+	rows, err := pmap(o, len(o.Workloads)*nPer, byWorkload(o.Workloads, nPer), func(i int) (PartitionRow, error) {
 		wl := o.Workloads[i/nPer]
 		j := i % nPer
 		dynamic := j == len(partitionMemPcts)

@@ -30,7 +30,7 @@ type Table4Row struct {
 // report through MetadataBits.
 func Table4Rows(o Options) ([]Table4Row, error) {
 	o = o.withDefaults()
-	return pmap(o, len(o.Capacities), func(i int) (Table4Row, error) {
+	return pmap(o, len(o.Capacities), nil, func(i int) (Table4Row, error) {
 		mb := o.Capacities[i]
 		capBytes := int64(mb) << 20
 		geom := dcache.PageGeometry{CapacityBytes: capBytes, PageBytes: 2048, Ways: 16}

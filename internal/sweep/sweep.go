@@ -47,6 +47,11 @@ type Policy struct {
 	// not killed: the result travels through a channel nobody reads
 	// any more, so a straggler finishing late never commits it.
 	Timeout time.Duration
+	// Settled, when set, runs on the worker once point i has settled
+	// (committed, failed, panicked or timed out) and before the worker
+	// takes its next point. A timed-out point's job may still be
+	// running when it does.
+	Settled func(i int)
 }
 
 // PanicError is a recovered sweep-point panic. It wraps
@@ -121,6 +126,9 @@ func Map[T any](workers, n int, pol Policy, job func(i int) (T, error)) ([]T, []
 					errs[i] = err
 				} else {
 					out[i] = v
+				}
+				if pol.Settled != nil {
+					pol.Settled(i)
 				}
 			}
 		}()

@@ -294,3 +294,41 @@ func TestTolerantDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestSettledOncePerPoint: Settled runs exactly once for every point,
+// whatever its outcome, before Map returns — for a timed-out point
+// while its job is still running.
+func TestSettledOncePerPoint(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		release := make(chan struct{})
+		var finished atomic.Bool
+		var settled [4]atomic.Int32
+		pol := Policy{Timeout: 20 * time.Millisecond, Settled: func(i int) {
+			if i == 3 && finished.Load() {
+				t.Errorf("workers=%d: timed-out point settled after its job ended", workers)
+			}
+			settled[i].Add(1)
+		}}
+		_, failed := Map(workers, 4, pol, func(i int) (int, error) {
+			switch i {
+			case 1:
+				return 0, errors.New("fails")
+			case 2:
+				panic("panics")
+			case 3:
+				<-release
+				finished.Store(true)
+			}
+			return i, nil
+		})
+		for i := range settled {
+			if n := settled[i].Load(); n != 1 {
+				t.Errorf("workers=%d: point %d settled %d times", workers, i, n)
+			}
+		}
+		close(release)
+		if len(failed) != 3 {
+			t.Fatalf("workers=%d: failed = %+v", workers, failed)
+		}
+	}
+}

@@ -144,8 +144,11 @@ func (p Profile) Validate() error {
 	if p.DatasetBytes < RegionBytes {
 		return fmt.Errorf("synth %s: dataset smaller than one region", p.Name)
 	}
-	if p.Concurrency < 1 || p.PatternsPerClass < 1 || p.Cores < 1 {
-		return fmt.Errorf("synth %s: concurrency/patterns/cores must be positive", p.Name)
+	if p.Concurrency < 1 || p.PatternsPerClass < 1 || p.Cores < 1 || p.GapMean < 1 {
+		return fmt.Errorf("synth %s: concurrency/patterns/cores/gap mean must be positive", p.Name)
+	}
+	if p.Cores > math.MaxUint8 {
+		return fmt.Errorf("synth %s: %d cores do not fit the 8-bit core field", p.Name, p.Cores)
 	}
 	if p.PhaseEvery < 0 {
 		return fmt.Errorf("synth %s: negative PhaseEvery", p.Name)
@@ -155,6 +158,9 @@ func (p Profile) Validate() error {
 	}
 	if p.PhasePinFrac < 0 || p.PhasePinFrac >= 1 {
 		return fmt.Errorf("synth %s: PhasePinFrac %g out of [0,1)", p.Name, p.PhasePinFrac)
+	}
+	if _, n := packingFor(p); n > 64 {
+		return fmt.Errorf("synth %s: a record needs %d bits, more than a packed recording's 64", p.Name, n)
 	}
 	return nil
 }
@@ -413,7 +419,7 @@ func (g *Generator) reinitVisit(v *visit) {
 	}
 	_, order := g.template(classIdx, patternID, epoch)
 
-	pc := memtrace.PC(0x400000 + uint64(classIdx)*0x10000 + uint64(patternID)*4)
+	pc := memtrace.PC(pcBase + uint64(classIdx)*pcClassStride + uint64(patternID)*pcPatternStride)
 	core := g.nextCPU
 	g.nextCPU = (g.nextCPU + 1) % uint8(g.prof.Cores)
 	*v = visit{region: region, pc: pc, blocks: order, core: core}

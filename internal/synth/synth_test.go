@@ -48,6 +48,11 @@ func TestValidateRejectsBadProfiles(t *testing.T) {
 		func(p *Profile) { p.DatasetBytes = 100 },
 		func(p *Profile) { p.Concurrency = 0 },
 		func(p *Profile) { p.Cores = 0 },
+		func(p *Profile) { p.Cores = 256 },
+		func(p *Profile) { p.GapMean = 0 },
+		// Records that cannot pack into a recording's 64 bits.
+		func(p *Profile) { p.DatasetBytes = 1 << 62 },
+		func(p *Profile) { p.GapMean = 1 << 40 },
 		func(p *Profile) {
 			for i := range p.Classes {
 				p.Classes[i].Weight = 0

@@ -7,7 +7,7 @@ import (
 	"fpcache/internal/memtrace"
 )
 
-func mustTemplates(t *testing.T, p Profile, seed int64) *Templates {
+func mustTemplates(t testing.TB, p Profile, seed int64) *Templates {
 	t.Helper()
 	tmpl, err := NewTemplates(p, seed)
 	if err != nil {

@@ -117,6 +117,10 @@ type IntervalReport struct {
 	// Restored counts segment heads warmed from a cached checkpoint;
 	// Stored counts boundary checkpoints written back.
 	Restored, Stored int
+	// Quarantined lists the cached checkpoints that were corrupt, in
+	// probe order. Each was pulled out of service and its interval
+	// replayed instead, so the results are those of a cold run.
+	Quarantined []QuarantineEvent
 	// Functional is the merged functional result (zero in timing
 	// mode). In sampled mode its counters cover only the measured
 	// intervals — scale by 1/MeasuredFraction to estimate the whole
@@ -323,11 +327,12 @@ type segment struct {
 }
 
 // planSegments probes the checkpoint cache at every interval start and
-// cuts a new chain wherever a checkpoint restores. Probing happens
-// up front and serially, so the segmentation — unlike worker timing —
-// is a pure function of the cache's contents; results do not depend on
-// it either way (see the exactness model above).
-func planSegments(opt *IntervalOptions, traceID string, ivs []Interval) ([]segment, int, error) {
+// cuts a new chain wherever a checkpoint restores, counting restores
+// and listing quarantined checkpoints in rep. Probing happens up front
+// and serially, so the segmentation — unlike worker timing — is a pure
+// function of the cache's contents; results do not depend on it
+// either way (see the exactness model above).
+func planSegments(opt *IntervalOptions, traceID string, ivs []Interval, rep *IntervalReport) []segment {
 	probe := func(at uint64) *SimState {
 		if opt.Cache == nil {
 			return nil
@@ -336,28 +341,27 @@ func planSegments(opt *IntervalOptions, traceID string, ivs []Interval) ([]segme
 		if err != nil {
 			return nil
 		}
-		if hit, _, err := opt.Cache.Load(opt.key(traceID, at), s); err == nil && hit {
-			return s
+		hit, q, err := opt.Cache.Load(opt.key(traceID, at), s)
+		if q != nil {
+			rep.Quarantined = append(rep.Quarantined, *q)
 		}
-		return nil // miss, quarantine, or open failure all fall back to replay
+		if err != nil || !hit {
+			return nil // miss, quarantine, or open failure all fall back to replay
+		}
+		rep.Restored++
+		return s
 	}
 	var segs []segment
-	restored := 0
 	cur := segment{first: 0, state: probe(ivs[0].Start)}
-	if cur.state != nil {
-		restored++
-	}
 	for i := 1; i < len(ivs); i++ {
 		if s := probe(ivs[i].Start); s != nil {
 			cur.last = i - 1
 			segs = append(segs, cur)
 			cur = segment{first: i, state: s}
-			restored++
 		}
 	}
 	cur.last = len(ivs) - 1
-	segs = append(segs, cur)
-	return segs, restored, nil
+	return append(segs, cur)
 }
 
 // RunIntervals executes an interval-parallel run over one trace and
@@ -383,11 +387,9 @@ func RunIntervals(tr *memtrace.FileReader, opt IntervalOptions) (*IntervalReport
 // merges deltas that reproduce the serial run byte for byte.
 func runExact(tr *memtrace.FileReader, opt *IntervalOptions, traceID string, ivs []Interval) (*IntervalReport, error) {
 	w := ivs[0].Start
-	segs, restored, err := planSegments(opt, traceID, ivs)
-	if err != nil {
-		return nil, err
-	}
-	rep := &IntervalReport{Intervals: ivs, Segments: len(segs), Restored: restored}
+	rep := &IntervalReport{Intervals: ivs}
+	segs := planSegments(opt, traceID, ivs, rep)
+	rep.Segments = len(segs)
 
 	// Per-segment chains: replay (or restore) to the head, then walk
 	// the chain, storing each boundary checkpoint the probe missed and
