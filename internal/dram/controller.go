@@ -13,11 +13,10 @@ import (
 // streamed from consecutive addresses on (usually) one row. Done is
 // called when the last data beat completes.
 //
-// The controller queues the submitted pointer and fires completion
-// through a callback bound to it, so a submitted request must not be
-// copied, modified or resubmitted before its Done fires. Afterwards it
-// may be reused: a long-lived request (a pooled one, say) resubmitted
-// many times costs no allocation after its first completion.
+// The controller queues the submitted pointer until its Done fires, so
+// a submitted request must not be modified or resubmitted before then.
+// Afterwards it may be reused: a long-lived request (a pooled one, say)
+// resubmitted many times costs no allocation.
 type Request struct {
 	Addr  memtrace.Addr
 	Bytes int
@@ -27,17 +26,8 @@ type Request struct {
 	arrived sim.Cycle
 	seq     uint64
 	loc     Location
-
-	// fire is complete bound to self, built on the first completion of
-	// this Request object (self detects a copy, which must rebind), and
-	// doneAt the cycle it reports.
-	self   *Request
-	fire   func()
-	doneAt sim.Cycle
+	doneAt  sim.Cycle // the completion cycle commit scheduled
 }
-
-// complete delivers the request's completion to Done.
-func (r *Request) complete() { r.Done(r.doneAt) }
 
 // CmdKind identifies a DRAM command reported through the Trace hook.
 type CmdKind uint8
@@ -132,8 +122,9 @@ type channelState struct {
 	// rqMask / wqMask have bit b set while bank b's read / write queue
 	// is non-empty, so arbitration visits only banks with work.
 	rqMask, wqMask uint64
-	// plans[b] is bank b's candidate as last planned by bestCandidate,
-	// reused by prepAhead until a prep moves the activate window.
+	// plans[b] is bank b's candidate, planned in place by
+	// bestCandidate and reused by prepAhead until a prep moves the
+	// activate window. Slot b's bank field is b for the slot's life.
 	plans []sched
 
 	busUsed   bool
@@ -155,6 +146,14 @@ type channelState struct {
 	wake      sim.Ticket
 	// wakeFn is the channel's wakeup callback, built once.
 	wakeFn func()
+
+	// done[doneHead:] are the committed requests whose Done has not
+	// fired, in commit order. That is completion order: each transfer
+	// starts once the channel's previous one has ended (plan), so
+	// completion cycles ascend. doneFn, built once, fires the oldest.
+	done     []*Request
+	doneHead int
+	doneFn   func()
 }
 
 type bankState struct {
@@ -170,6 +169,16 @@ type bankState struct {
 	// first column command to the row counts that class instead of a
 	// row hit. prepNone when no prep is outstanding.
 	prepClass uint8
+}
+
+// enqueue appends q to the bank's write or read queue. removeReq keeps
+// a queue's capacity, so steady state reuses it.
+func (b *bankState) enqueue(q qent, write bool) {
+	if write {
+		b.wq = append(b.wq, q)
+	} else {
+		b.rq = append(b.rq, q)
+	}
 }
 
 // qent is one queued request with the fields arbitration reads kept
@@ -227,6 +236,7 @@ func NewController(eng *sim.Engine, cfg Config) *Controller {
 		}
 		for b := range ch.banks {
 			ch.banks[b].openRow = -1
+			ch.plans[b].bank = b
 		}
 		ch.refDueAt = c.t.refi
 		chIdx := i
@@ -234,6 +244,7 @@ func NewController(eng *sim.Engine, cfg Config) *Controller {
 			ch.wakeArmed = false
 			c.schedule(chIdx)
 		}
+		ch.doneFn = func() { ch.complete(eng.Now()) }
 		c.chns = append(c.chns, ch)
 	}
 	return c
@@ -252,20 +263,19 @@ func (c *Controller) QueueDepth() int {
 }
 
 // Submit enqueues a request. Done fires on completion.
+//
+//fplint:hotpath
 func (c *Controller) Submit(req *Request) {
 	req.arrived = c.eng.Now()
 	req.seq = c.seq
 	c.seq++
 	req.loc = c.dec.decode(req.Addr)
 	ch := c.chns[req.loc.Channel]
-	b := &ch.banks[req.loc.Bank]
-	q := qent{req: req, row: req.loc.Row, seq: req.seq}
+	ch.banks[req.loc.Bank].enqueue(qent{req: req, row: req.loc.Row, seq: req.seq}, req.Write)
 	if req.Write {
-		b.wq = append(b.wq, q)
 		ch.wqMask |= 1 << req.loc.Bank
 		ch.nWrites++
 	} else {
-		b.rq = append(b.rq, q)
 		ch.rqMask |= 1 << req.loc.Bank
 		ch.nReads++
 	}
@@ -285,11 +295,11 @@ func (c *Controller) pump(chIdx int) {
 
 // sched is one candidate command sequence for a request: the cycles
 // its precharge / activate / column command would issue, the first of
-// which is the commit time.
+// which is the commit time. Whether it reads or writes is the
+// arbitration's served queue, the same for every candidate.
 type sched struct {
 	qent
 	bank    int
-	write   bool
 	rowHit  bool
 	needPre bool
 	needAct bool
@@ -304,6 +314,8 @@ type sched struct {
 // wakeup at the earliest future start across all banks — the fix for
 // the old model's head-of-line blocking, which armed a single wakeup
 // for one picked request even when another bank could issue sooner.
+//
+//fplint:hotpath
 func (c *Controller) schedule(chIdx int) {
 	ch := c.chns[chIdx]
 	for {
@@ -312,8 +324,9 @@ func (c *Controller) schedule(chIdx int) {
 			c.refresh(chIdx, ch)
 			continue
 		}
-		best, serveWrites, ok := c.bestCandidate(ch, now)
-		if !ok {
+		serveWrites := c.serveWrites(ch)
+		best := c.bestCandidate(ch, serveWrites, now)
+		if best == nil {
 			return
 		}
 		if c.t.refi > 0 && best.start >= ch.refDueAt {
@@ -340,25 +353,30 @@ func (c *Controller) schedule(chIdx int) {
 	}
 }
 
-// bestCandidate scans the channel's bank queues for the command
-// sequence with the earliest column command. Reads are served by default;
-// writes drain in bursts once the write queue crosses the high
-// threshold (until it reaches the low one) or opportunistically when
-// no reads are pending, amortizing bus turnaround.
-func (c *Controller) bestCandidate(ch *channelState, now sim.Cycle) (sched, bool, bool) {
+// serveWrites reports whether the channel's next arbitration serves
+// its write queue. Reads are served by default; writes drain in bursts
+// once the write queue crosses the high threshold (until it reaches
+// the low one) or opportunistically when no reads are pending,
+// amortizing bus turnaround.
+func (c *Controller) serveWrites(ch *channelState) bool {
 	if ch.nWrites >= c.drainHigh {
 		ch.draining = true
 	} else if ch.nWrites <= c.drainLow {
 		ch.draining = false
 	}
-	serveWrites := ch.nWrites > 0 && (ch.draining || ch.nReads == 0)
+	return ch.nWrites > 0 && (ch.draining || ch.nReads == 0)
+}
 
+// bestCandidate plans every bank with work in the served queue into
+// its slot of ch.plans and returns the slot with the earliest column
+// command, or nil when no bank has work.
+func (c *Controller) bestCandidate(ch *channelState, serveWrites bool, now sim.Cycle) *sched {
 	var best *sched
 	// Visiting order is irrelevant: (cas, rowHit, seq) is a total order.
 	for m := ch.queued(serveWrites); m != 0; m &= m - 1 {
 		bi := bits.TrailingZeros64(m)
 		s := &ch.plans[bi]
-		*s = c.plan(ch, bi, bankPick(&ch.banks[bi], serveWrites), serveWrites, now)
+		c.plan(ch, s, bankPick(&ch.banks[bi], serveWrites), serveWrites, now)
 		// Arbitrate on the column-command (data-slot) time, not the
 		// first command: under bus contention every candidate's CAS
 		// collapses to the next free bus slot, and the row-hit
@@ -371,10 +389,7 @@ func (c *Controller) bestCandidate(ch *channelState, now sim.Cycle) (sched, bool
 			best = s
 		}
 	}
-	if best == nil {
-		return sched{}, serveWrites, false
-	}
-	return *best, serveWrites, true
+	return best
 }
 
 // queued returns the mask of banks whose served queue is non-empty.
@@ -387,20 +402,20 @@ func (ch *channelState) queued(serveWrites bool) uint64 {
 
 // bankPick returns a bank's FR-FCFS candidate from the served queue,
 // which must be non-empty: the oldest row hit, else the oldest
-// request.
-func bankPick(b *bankState, serveWrites bool) qent {
+// request. The pointer is into the queue, valid until it changes.
+func bankPick(b *bankState, serveWrites bool) *qent {
 	q := b.rq
 	if serveWrites {
 		q = b.wq
 	}
 	if b.openRow >= 0 && q[0].row != b.openRow {
-		for _, e := range q[1:] {
-			if e.row == b.openRow {
-				return e
+		for i := 1; i < len(q); i++ {
+			if q[i].row == b.openRow {
+				return &q[i]
 			}
 		}
 	}
-	return q[0]
+	return &q[0]
 }
 
 // prepAhead pipelines row preparation under the arbitration winner's
@@ -412,16 +427,15 @@ func bankPick(b *bankState, serveWrites bool) qent {
 //
 // It runs right after bestCandidate at the same cycle, so the plans
 // bestCandidate left stand until the first prep commits; from then on
-// each bank is re-planned, because the prep moved the activate window.
-// Banks are prepped in ascending order, as each prep constrains the
-// next.
+// each bank is re-planned in its slot, because the prep moved the
+// activate window. Banks are prepped in ascending order, as each prep
+// constrains the next.
 func (c *Controller) prepAhead(chIdx int, ch *channelState, now sim.Cycle, serveWrites bool, skipBank int) bool {
 	prepped := false
 	for m := ch.queued(serveWrites) &^ (1 << skipBank); m != 0; m &= m - 1 {
-		bi := bits.TrailingZeros64(m)
-		s := ch.plans[bi]
+		s := &ch.plans[bits.TrailingZeros64(m)]
 		if prepped {
-			s = c.plan(ch, bi, s.qent, serveWrites, now)
+			c.plan(ch, s, &s.qent, serveWrites, now)
 		}
 		if !s.needAct || s.start > now {
 			continue
@@ -433,9 +447,8 @@ func (c *Controller) prepAhead(chIdx int, ch *channelState, now sim.Cycle, serve
 		if s.needPre {
 			cls = prepConflict
 		}
-		b := &ch.banks[bi]
-		c.openRowFor(chIdx, bi, ch, b, s, s.row)
-		b.prepClass = cls
+		c.openRowFor(chIdx, ch, s)
+		ch.banks[s.bank].prepClass = cls
 		prepped = true
 	}
 	return prepped
@@ -445,17 +458,18 @@ func (c *Controller) prepAhead(chIdx int, ch *channelState, now sim.Cycle, serve
 // events, activate-window bookkeeping, and bank-state updates. The
 // row-buffer access class is counted separately, when the column
 // command commits.
-func (c *Controller) openRowFor(chIdx, bankIdx int, ch *channelState, b *bankState, s sched, row int64) {
+func (c *Controller) openRowFor(chIdx int, ch *channelState, s *sched) {
+	b := &ch.banks[s.bank]
 	if s.needPre {
-		c.emit(Cmd{Kind: CmdPrecharge, Channel: chIdx, Bank: bankIdx, Row: b.openRow, At: s.pre})
+		c.emit(Cmd{Kind: CmdPrecharge, Channel: chIdx, Bank: s.bank, Row: b.openRow, At: s.pre})
 	}
 	c.Stats.Activates++
 	c.noteActivate(ch, s.act)
 	b.actReadyAt = s.act + c.t.rc
 	b.casReadyAt = s.act + c.t.rcd
 	b.preReadyAt = s.act + c.t.ras
-	b.openRow = row
-	c.emit(Cmd{Kind: CmdActivate, Channel: chIdx, Bank: bankIdx, Row: row, At: s.act})
+	b.openRow = s.row
+	c.emit(Cmd{Kind: CmdActivate, Channel: chIdx, Bank: s.bank, Row: s.row, At: s.act})
 }
 
 // plan computes the earliest command sequence for a request on its
@@ -465,9 +479,13 @@ func (c *Controller) openRowFor(chIdx, bankIdx int, ch *channelState, b *bankSta
 // bus slot (plus the read<->write turnaround when the transfer
 // direction flips), which also paces row-hit streams at bus rate so a
 // due refresh can interpose.
-func (c *Controller) plan(ch *channelState, bankIdx int, q qent, write bool, now sim.Cycle) sched {
-	b := &ch.banks[bankIdx]
-	s := sched{qent: q, bank: bankIdx, write: write}
+//
+// The plan is written into s, the slot of the bank q is queued on, and
+// every field but the slot's bank is set, so nothing of the slot's
+// previous plan survives. q may be the slot's own qent.
+func (c *Controller) plan(ch *channelState, s *sched, q *qent, write bool, now sim.Cycle) {
+	b := &ch.banks[s.bank]
+	s.qent = *q
 	// Earliest CAS whose data slot clears the bus. tWTR spaces the
 	// read *command* from the end of write data (JEDEC semantics);
 	// tRTW is the bus gap before write data follows read data.
@@ -484,24 +502,24 @@ func (c *Controller) plan(ch *channelState, bankIdx int, q qent, write bool, now
 		casMin = max(casMin, busAvail-c.t.cas)
 	}
 	switch {
-	case b.openRow == q.row:
-		s.rowHit = true
+	case b.openRow == s.row:
+		s.rowHit, s.needPre, s.needAct = true, false, false
+		s.pre, s.act = 0, 0
 		s.cas = max(max(now, b.casReadyAt), casMin)
 		s.start = s.cas
 	case b.openRow < 0:
-		s.needAct = true
+		s.rowHit, s.needPre, s.needAct = false, false, true
+		s.pre = 0
 		s.act = max(max(now, b.actReadyAt), c.actWindowMin(ch))
 		s.cas = max(s.act+c.t.rcd, casMin)
 		s.start = s.act
 	default:
-		s.needPre = true
-		s.needAct = true
+		s.rowHit, s.needPre, s.needAct = false, true, true
 		s.pre = max(now, b.preReadyAt)
 		s.act = max(max(s.pre+c.t.rp, b.actReadyAt), c.actWindowMin(ch))
 		s.cas = max(s.act+c.t.rcd, casMin)
 		s.start = s.pre
 	}
-	return s
 }
 
 // actWindowMin returns the earliest cycle the channel may issue its
@@ -523,10 +541,10 @@ func (c *Controller) actWindowMin(ch *channelState) sim.Cycle {
 
 // commit dequeues the request and executes its command sequence:
 // stats, bank and bus state updates, trace events, and completion.
-func (c *Controller) commit(chIdx int, ch *channelState, s sched) {
+func (c *Controller) commit(chIdx int, ch *channelState, s *sched) {
 	req := s.req
 	b := &ch.banks[s.bank]
-	if s.write {
+	if req.Write {
 		if b.wq = removeReq(b.wq, req); len(b.wq) == 0 {
 			ch.wqMask &^= 1 << s.bank
 		}
@@ -559,7 +577,7 @@ func (c *Controller) commit(chIdx int, ch *channelState, s sched) {
 	if s.needAct {
 		// Any prepped row is gone; only its (real) activate stands.
 		b.prepClass = prepNone
-		c.openRowFor(chIdx, s.bank, ch, b, s, req.loc.Row)
+		c.openRowFor(chIdx, ch, s)
 	}
 
 	// Data transfer: CAS latency, then the bus streams the payload.
@@ -604,12 +622,35 @@ func (c *Controller) commit(chIdx int, ch *channelState, s sched) {
 	c.LatencySum += uint64(dataEnd - req.arrived)
 	c.LatencyCount++
 	if req.Done != nil {
-		if req.self != req {
-			req.self, req.fire = req, req.complete
-		}
 		req.doneAt = dataEnd
-		c.eng.Schedule(dataEnd, req.fire)
+		ch.awaitDone(req)
+		c.eng.Schedule(dataEnd, ch.doneFn)
 	}
+}
+
+// awaitDone queues a committed request for its Done. A full queue
+// first drops its fired head instead of growing.
+func (ch *channelState) awaitDone(req *Request) {
+	if len(ch.done) == cap(ch.done) && ch.doneHead > 0 {
+		n := copy(ch.done, ch.done[ch.doneHead:])
+		clear(ch.done[n:])
+		ch.done, ch.doneHead = ch.done[:n], 0
+	}
+	ch.done = append(ch.done, req)
+}
+
+// complete fires the oldest committed request's Done; the engine calls
+// it (doneFn) once per completion, at that request's cycle.
+func (ch *channelState) complete(now sim.Cycle) {
+	req := ch.done[ch.doneHead]
+	ch.done[ch.doneHead] = nil
+	if ch.doneHead++; ch.doneHead == len(ch.done) {
+		ch.done, ch.doneHead = ch.done[:0], 0
+	}
+	if req.doneAt != now {
+		panic("dram: a completion fired out of commit order")
+	}
+	req.Done(now)
 }
 
 // refresh performs one all-bank refresh on the channel: open rows are

@@ -371,8 +371,9 @@ func (c *traceCache) settle(workload string) {
 // replay returns a reader at the start of the workload's stream and
 // the generator's scaled profile. A reader no other point will share with
 // (outside a sweep, or the workload's one point left to settle when
-// nothing is recorded yet) streams a recording of its own instead.
-func (c *traceCache) replay(workload string, seed int64, scale float64) (*synth.Replay, synth.Profile, error) {
+// nothing is recorded yet) reads a generator of its own instead, which
+// emits the same records.
+func (c *traceCache) replay(workload string, seed int64, scale float64) (memtrace.Source, synth.Profile, error) {
 	e := c.entry(workload)
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -385,22 +386,24 @@ func (c *traceCache) replay(workload string, seed int64, scale float64) (*synth.
 			return nil, synth.Profile{}, err
 		}
 	}
-	rec := e.rec
-	if rec == nil {
-		var err error
-		if e.pending <= 1 {
-			rec, err = e.tmpl.NewStream(scale)
-		} else if rec, err = e.tmpl.NewRecording(scale); err == nil {
-			e.rec = rec
-			if c.track != nil {
-				c.track(workload, +1)
-			}
-		}
+	if e.rec == nil && e.pending <= 1 {
+		g, err := e.tmpl.NewGenerator(scale)
 		if err != nil {
 			return nil, synth.Profile{}, err
 		}
+		return g, g.Profile(), nil
 	}
-	return rec.Replay(), rec.Profile(), nil
+	if e.rec == nil {
+		rec, err := e.tmpl.NewRecording(scale)
+		if err != nil {
+			return nil, synth.Profile{}, err
+		}
+		e.rec = rec
+		if c.track != nil {
+			c.track(workload, +1)
+		}
+	}
+	return e.rec.Replay(), e.rec.Profile(), nil
 }
 
 // trace returns a replay of a workload's stream at the options' seed

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"fpcache/internal/fault"
+	"fpcache/internal/stats"
 	"fpcache/internal/testutil"
 )
 
@@ -42,8 +44,8 @@ func rawRows(t *testing.T, rows any) []json.RawMessage {
 }
 
 // panicAt, failAt and blockUntil build point hooks: the first panics at
-// one point, the second fails it with an error, the third stalls every
-// point until release is closed and then fails it.
+// one point, the second fails the given points with an error, the third
+// stalls every point until release is closed and then fails it.
 func panicAt(point int) func(int) error {
 	return func(i int) error {
 		if i == point {
@@ -53,10 +55,10 @@ func panicAt(point int) func(int) error {
 	}
 }
 
-func failAt(point int) func(int) error {
+func failAt(points ...int) func(int) error {
 	return func(i int) error {
-		if i == point {
-			return fmt.Errorf("point %d fails", point)
+		if slices.Contains(points, i) {
+			return fmt.Errorf("point %d fails", i)
 		}
 		return nil
 	}
@@ -159,6 +161,65 @@ func TestPointFailures(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFigure6DegradedCells fails one workload's baseline and another's
+// grid point in figure6's sweep under Tolerate. Every cell that reads a
+// degraded point is zero-valued, not -100% or a division by zero, and
+// each geomean column averages only the cells that did not degrade.
+func TestFigure6DegradedCells(t *testing.T) {
+	o := faultOptions(2)
+	o.Workloads = []string{"web-search", "mapreduce"}
+	clean, err := Figure6Rows(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Per workload: baseline, ideal, then (capacity, design) in Figure
+	// 6's order. Fail web-search's baseline and mapreduce's block point
+	// at the first capacity.
+	const nPer = 2 + 2*3
+	o.pointHook = failAt(0, nPer+2)
+	o.Tolerate = true
+	got, rep, err := RowsWithReport("figure6", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Failures) != 2 {
+		t.Fatalf("got %d failures, want 2: %s", len(rep.Failures), testutil.AsJSON(t, rep))
+	}
+	rows := got.([]PerfRow)
+	if len(rows) != len(clean) || len(rows) != 6 {
+		t.Fatalf("got %d rows, want %d: %s", len(rows), len(clean), testutil.AsJSON(t, rows))
+	}
+	cells := func(r PerfRow) [4]float64 { return [4]float64{r.Block, r.Page, r.Footprint, r.Ideal} }
+	for i, r := range rows {
+		for k, v := range cells(r) {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Errorf("row %d (%s %dMB) cell %d = %v, want finite", i, r.Workload, r.CapacityMB, k, v)
+			}
+		}
+	}
+	// Rows: web-search 64/128, mapreduce 64/128, geomean 64/128.
+	want := [4][4]float64{{}, {}, cells(clean[2]), cells(clean[3])}
+	want[2][0] = 0
+	for i := range want {
+		if got := cells(rows[i]); got != want[i] {
+			t.Errorf("row %d (%s %dMB) = %v, want %v", i, rows[i].Workload, rows[i].CapacityMB, got, want[i])
+		}
+	}
+	// Only mapreduce's measured cells remain in each geomean column.
+	for i, mr := range []int{2, 3} {
+		var wantGeo [4]float64
+		for k, v := range cells(rows[mr]) {
+			if i == 0 && k == 0 {
+				continue // both workloads' 64MB block cells degraded
+			}
+			wantGeo[k] = stats.GeoMean([]float64{1 + v}) - 1
+		}
+		if g := rows[4+i]; g.Workload != "geomean" || cells(g) != wantGeo {
+			t.Errorf("geomean row %d = %s, want cells %v", i, testutil.AsJSON(t, g), wantGeo)
+		}
 	}
 }
 

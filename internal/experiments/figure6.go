@@ -21,7 +21,12 @@ type PerfRow struct {
 // perfRows runs the timing comparison for the given workloads. One
 // sweep runs each workload's points together: the capacity-independent
 // anchors (baseline and ideal), then its (capacity, design) grid.
-func perfRows(o Options, workloads []string) ([]PerfRow, error) {
+//
+// A point degraded under Tolerate has IPC 0, and a cell whose point or
+// baseline degraded is zero-valued (DESIGN.md §10). perfRows also
+// returns, in row order, which of each row's cells (in Figure 6's
+// order: block, page, footprint, ideal) are measured, not degraded.
+func perfRows(o Options, workloads []string) ([]PerfRow, [][4]bool, error) {
 	kinds := []string{system.KindBlock, system.KindPage, system.KindFootprint}
 	nPer := 2 + len(o.Capacities)*len(kinds) // baseline, ideal, grid
 	ipcs, err := pmap(o, len(workloads)*nPer, byWorkload(workloads, nPer), func(i int) (float64, error) {
@@ -44,25 +49,32 @@ func perfRows(o Options, workloads []string) ([]PerfRow, error) {
 		return res.AggIPC(), nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	var rows []PerfRow
+	var measured [][4]bool
 	for wi, wl := range workloads {
 		base, ideal := ipcs[wi*nPer], ipcs[wi*nPer+1]
 		for ci, mb := range o.Capacities {
 			off := wi*nPer + 2 + ci*len(kinds)
-			rows = append(rows, PerfRow{
-				Workload:   wl,
-				CapacityMB: mb,
-				Block:      ipcs[off]/base - 1,
-				Page:       ipcs[off+1]/base - 1,
-				Footprint:  ipcs[off+2]/base - 1,
-				Ideal:      ideal/base - 1,
-			})
+			var cell [4]float64
+			var ok [4]bool
+			for k, ipc := range [4]float64{ipcs[off], ipcs[off+1], ipcs[off+2], ideal} {
+				if ok[k] = ipc != 0 && base != 0; ok[k] {
+					cell[k] = ipc/base - 1
+				}
+			}
+			rows = append(rows, perfRow(wl, mb, cell))
+			measured = append(measured, ok)
 		}
 	}
-	return rows, nil
+	return rows, measured, nil
+}
+
+// perfRow builds a row from its cells in Figure 6's order.
+func perfRow(wl string, mb int, cell [4]float64) PerfRow {
+	return PerfRow{Workload: wl, CapacityMB: mb, Block: cell[0], Page: cell[1], Footprint: cell[2], Ideal: cell[3]}
 }
 
 // Figure6Rows measures performance improvement over baseline for
@@ -77,34 +89,38 @@ func Figure6Rows(o Options) ([]PerfRow, error) {
 			workloads = append(workloads, wl)
 		}
 	}
-	rows, err := perfRows(o, workloads)
+	rows, measured, err := perfRows(o, workloads)
 	if err != nil {
 		return nil, err
 	}
 	// Geomean across workloads per capacity (of speedups, reported as
-	// improvement).
+	// improvement). Each column averages only its measured cells; a
+	// column with none is zero-valued, like a degraded cell.
+	n := len(rows)
 	for _, mb := range o.Capacities {
-		var blk, pg, fp, id []float64
-		for _, r := range rows {
+		var speedups [4][]float64
+		found := false
+		for i, r := range rows[:n] {
 			if r.CapacityMB != mb {
 				continue
 			}
-			blk = append(blk, 1+r.Block)
-			pg = append(pg, 1+r.Page)
-			fp = append(fp, 1+r.Footprint)
-			id = append(id, 1+r.Ideal)
+			found = true
+			for k, v := range [4]float64{r.Block, r.Page, r.Footprint, r.Ideal} {
+				if measured[i][k] {
+					speedups[k] = append(speedups[k], 1+v)
+				}
+			}
 		}
-		if len(blk) == 0 {
+		if !found {
 			continue
 		}
-		rows = append(rows, PerfRow{
-			Workload:   "geomean",
-			CapacityMB: mb,
-			Block:      stats.GeoMean(blk) - 1,
-			Page:       stats.GeoMean(pg) - 1,
-			Footprint:  stats.GeoMean(fp) - 1,
-			Ideal:      stats.GeoMean(id) - 1,
-		})
+		var cell [4]float64
+		for k, col := range speedups {
+			if len(col) > 0 {
+				cell[k] = stats.GeoMean(col) - 1
+			}
+		}
+		rows = append(rows, perfRow("geomean", mb, cell))
 	}
 	return rows, nil
 }
@@ -133,7 +149,8 @@ func Figure6(o Options, w io.Writer) error {
 // Figure7Rows is the Data Serving performance comparison (§6.3).
 func Figure7Rows(o Options) ([]PerfRow, error) {
 	o = o.withDefaults()
-	return perfRows(o, []string{synth.DataServing})
+	rows, _, err := perfRows(o, []string{synth.DataServing})
+	return rows, err
 }
 
 // Figure7 renders the Data Serving comparison.

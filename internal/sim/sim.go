@@ -26,11 +26,12 @@
 // heap top fires first; otherwise the wheel's next bucket does, in
 // FIFO (= seq) order.
 //
-// Fired and cancelled events are recycled through a free list, so a
-// steady-state simulation churns no *event allocations: the live
-// allocation count is bounded by the maximum number of simultaneously
-// pending events. A Ticket names the event's schedule sequence number,
-// so cancelling an already-recycled event is a safe no-op.
+// Events live by value in one arena slice and are named by their index
+// in it; fired and cancelled events are recycled through a free list of
+// indices, so the arena grows to the most events ever pending at once
+// and a steady-state simulation allocates nothing. A Ticket names the
+// event's schedule sequence number, so cancelling an already-recycled
+// event is a safe no-op.
 package sim
 
 import "math/bits"
@@ -51,19 +52,20 @@ const (
 // event is a scheduled callback. A heap event's ordering key lives in
 // its heap entry and a wheel event's in its bucket; seq is kept here
 // only so a Ticket can tell whether it still names this incarnation of
-// the pooled object. next links a wheel bucket's FIFO.
+// the recycled slot. next links a wheel bucket's FIFO by arena index.
 type event struct {
 	fn   func()
 	seq  uint64
+	next int32
 	dead bool
-	next *event
 }
 
-// entry is one heap slot: the (at, seq) key inline, plus its event.
+// entry is one heap slot: the (at, seq) key inline, plus its event's
+// arena index.
 type entry struct {
 	at  Cycle
 	seq uint64
-	ev  *event
+	ev  int32
 }
 
 // before reports whether a fires before b.
@@ -71,9 +73,11 @@ func (a entry) before(b entry) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
-// bucket is one wheel slot's FIFO of events, all at the same cycle.
+// bucket is one wheel slot's FIFO of events, all at the same cycle, by
+// arena index; head and tail mean something only while the slot's
+// occupancy bit is set.
 type bucket struct {
-	head, tail *event
+	head, tail int32
 }
 
 // Engine is the event-driven simulation core. The zero value is ready
@@ -89,7 +93,10 @@ type Engine struct {
 	inWheel int
 	// queue is the overflow heap for events further ahead.
 	queue []entry
-	free  []*event
+	// events is the arena of every event ever pending; free lists the
+	// indices of its fired and cancelled events.
+	events []event
+	free   []int32
 	// Executed counts events run, for progress reporting and
 	// runaway-simulation guards.
 	Executed uint64
@@ -99,10 +106,11 @@ type Engine struct {
 func (e *Engine) Now() Cycle { return e.now }
 
 // Ticket identifies a scheduled event so it can be cancelled. The
-// sequence number guards against the event object having been recycled
-// for a later schedule.
+// sequence number guards against the event slot having been recycled
+// for a later schedule; sequence numbers start at 1, so the zero Ticket
+// names no event.
 type Ticket struct {
-	ev  *event
+	ev  int32
 	seq uint64
 }
 
@@ -155,10 +163,11 @@ func (e *Engine) pop() entry {
 
 // recycle returns a popped event to the free list, invalidating any
 // outstanding Tickets for it.
-func (e *Engine) recycle(ev *event) {
+func (e *Engine) recycle(i int32) {
+	ev := &e.events[i]
 	ev.fn = nil
 	ev.dead = true
-	e.free = append(e.free, ev)
+	e.free = append(e.free, i)
 }
 
 // Schedule runs fn at absolute cycle at. Scheduling in the past (at <
@@ -168,32 +177,33 @@ func (e *Engine) Schedule(at Cycle, fn func()) Ticket {
 	if at < e.now {
 		at = e.now
 	}
-	var ev *event
+	var i int32
 	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
+		i = e.free[n-1]
 		e.free = e.free[:n-1]
 	} else {
-		ev = new(event)
+		i = int32(len(e.events))
+		e.events = append(e.events, event{})
 	}
-	seq := e.seq
 	e.seq++
+	seq := e.seq
+	ev := &e.events[i]
 	ev.fn, ev.seq, ev.dead = fn, seq, false
 	if at-e.now < wheelSize {
-		i := at & wheelMask
-		b := &e.wheel[i]
-		if b.tail == nil {
-			b.head = ev
-			e.occ[i>>6] |= 1 << (i & 63)
+		w := at & wheelMask
+		b := &e.wheel[w]
+		if e.occ[w>>6]&(1<<(w&63)) == 0 {
+			b.head = i
+			e.occ[w>>6] |= 1 << (w & 63)
 		} else {
-			b.tail.next = ev
+			e.events[b.tail].next = i
 		}
-		b.tail = ev
+		b.tail = i
 		e.inWheel++
 	} else {
-		e.push(entry{at: at, seq: seq, ev: ev})
+		e.push(entry{at: at, seq: seq, ev: i})
 	}
-	return Ticket{ev: ev, seq: seq}
+	return Ticket{ev: i, seq: seq}
 }
 
 // After runs fn delta cycles from now.
@@ -205,10 +215,14 @@ func (e *Engine) After(delta Cycle, fn func()) Ticket {
 // already-fired or already-cancelled event is a no-op. It reports
 // whether the event was live.
 func (e *Engine) Cancel(t Ticket) bool {
-	if t.ev == nil || t.ev.seq != t.seq || t.ev.dead {
+	if int(t.ev) >= len(e.events) {
 		return false
 	}
-	t.ev.dead = true
+	ev := &e.events[t.ev]
+	if ev.seq != t.seq || ev.dead {
+		return false
+	}
+	ev.dead = true
 	return true
 }
 
@@ -237,37 +251,36 @@ func (e *Engine) wheelNext() Cycle {
 	panic("sim: wheel count out of step with its occupancy bitmap")
 }
 
-// next removes and returns the earliest queued event and its cycle,
-// provided that cycle is <= limit; ok is false when nothing queued is
-// due by then. On equal cycles the heap top goes first: see the
-// package comment.
-func (e *Engine) next(limit Cycle) (ev *event, at Cycle, ok bool) {
+// next removes and returns the earliest queued event's arena index and
+// its cycle, provided that cycle is <= limit; ok is false when nothing
+// queued is due by then. On equal cycles the heap top goes first: see
+// the package comment.
+func (e *Engine) next(limit Cycle) (i int32, at Cycle, ok bool) {
 	heap := len(e.queue) > 0
 	if e.inWheel > 0 {
 		at = e.wheelNext()
 		heap = heap && e.queue[0].at <= at
 	} else if !heap {
-		return nil, 0, false
+		return 0, 0, false
 	}
 	if heap {
 		if at = e.queue[0].at; at > limit {
-			return nil, 0, false
+			return 0, 0, false
 		}
 		return e.pop().ev, at, true
 	}
 	if at > limit {
-		return nil, 0, false
+		return 0, 0, false
 	}
-	i := at & wheelMask
-	b := &e.wheel[i]
-	ev = b.head
-	if b.head = ev.next; b.head == nil {
-		b.tail = nil
-		e.occ[i>>6] &^= 1 << (i & 63)
+	w := at & wheelMask
+	b := &e.wheel[w]
+	if i = b.head; i == b.tail {
+		e.occ[w>>6] &^= 1 << (w & 63)
+	} else {
+		b.head = e.events[i].next
 	}
-	ev.next = nil
 	e.inWheel--
-	return ev, at, true
+	return i, at, true
 }
 
 // Step executes the next event. It reports false if the queue is
@@ -281,18 +294,18 @@ func (e *Engine) Step() bool {
 // A cancelled event first never lets a live one past the deadline run.
 func (e *Engine) stepUntil(deadline Cycle) bool {
 	for {
-		ev, at, ok := e.next(deadline)
+		i, at, ok := e.next(deadline)
 		if !ok {
 			return false
 		}
-		if ev.dead {
-			e.recycle(ev)
+		if e.events[i].dead {
+			e.recycle(i)
 			continue
 		}
 		e.now = at
 		e.Executed++
-		fn := ev.fn
-		e.recycle(ev)
+		fn := e.events[i].fn
+		e.recycle(i)
 		fn()
 		return true
 	}

@@ -81,8 +81,16 @@ func TestAfterSchedulesRelative(t *testing.T) {
 
 func TestCancelPreventsExecution(t *testing.T) {
 	var e Engine
+	if e.Cancel(Ticket{}) {
+		t.Fatal("the zero Ticket cancelled something on an empty engine")
+	}
 	fired := false
 	tk := e.Schedule(10, func() { fired = true })
+	// The first event sits in arena slot 0; the zero Ticket still names
+	// no event.
+	if e.Cancel(Ticket{}) {
+		t.Fatal("the zero Ticket cancelled the first event")
+	}
 	if !e.Cancel(tk) {
 		t.Fatal("Cancel reported dead for a live event")
 	}

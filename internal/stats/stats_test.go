@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -134,6 +136,28 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 	if h.Total() != 7 {
 		t.Fatalf("total = %d", h.Total())
+	}
+}
+
+// Add's inline search must pick sort.Search's bucket for every
+// value at and next to a bound, below the first and past the last.
+func TestHistogramAddMatchesSortSearch(t *testing.T) {
+	for _, bounds := range [][]int64{nil, {5}, {1, 3, 7}, {-4, 0, 9, 10}, LatencyBounds()} {
+		h := NewHistogram(bounds...)
+		want := make([]int64, len(bounds)+1)
+		xs := []int64{math.MinInt64, -1 << 40}
+		for _, b := range bounds {
+			xs = append(xs, b-1, b, b+1)
+		}
+		xs = append(xs, 1<<40, math.MaxInt64)
+		for _, x := range xs {
+			h.Add(x)
+			want[sort.Search(len(bounds), func(i int) bool { return x <= bounds[i] })]++
+		}
+		got := append(append([]int64(nil), h.Counts...), h.Overflow)
+		if !slices.Equal(got, want) {
+			t.Errorf("bounds %v: counts+overflow %v, want %v", bounds, got, want)
+		}
 	}
 }
 

@@ -32,9 +32,6 @@ type Recording struct {
 	mu     sync.Mutex
 	gen    *Generator
 	chunks [][]uint64
-	// stream marks a recording with one reader (NewStream): it keeps
-	// only the chunk being read.
-	stream bool
 }
 
 // recordChunk is the number of records a recording grows by at a
@@ -108,19 +105,6 @@ func (t *Templates) NewRecording(scale float64) (*Recording, error) {
 	return &Recording{prof: g.Profile(), pack: pk, gen: g}, nil
 }
 
-// NewStream is NewRecording for a stream only one reader will read:
-// the recording keeps just the chunk being read and refills that one
-// buffer, so it costs generating plus packing, in constant memory. Its
-// Replay may be called once.
-func (t *Templates) NewStream(scale float64) (*Recording, error) {
-	r, err := t.NewRecording(scale)
-	if err != nil {
-		return nil, err
-	}
-	r.stream = true
-	return r, nil
-}
-
 // Profile returns the scaled profile of the recorded generator.
 func (r *Recording) Profile() Profile { return r.prof }
 
@@ -132,13 +116,7 @@ func (r *Recording) chunk(k int) []uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for len(r.chunks) <= k {
-		var c []uint64
-		if n := len(r.chunks); r.stream && n > 0 {
-			// The one reader has moved past the newest chunk.
-			c, r.chunks[n-1] = r.chunks[n-1], nil
-		} else {
-			c = make([]uint64, recordChunk)
-		}
+		c := make([]uint64, recordChunk)
 		for i := range c {
 			rec, _ := r.gen.Next()
 			c[i] = r.pack.pack(rec)

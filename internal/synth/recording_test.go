@@ -147,44 +147,3 @@ func BenchmarkGeneratorNext(b *testing.B) {
 		g.Next()
 	}
 }
-
-// TestStreamKeepsOneChunk checks a one-reader recording: it reads the
-// generator's records, across a skip too, while holding one chunk and
-// allocating nothing once its buffer exists.
-func TestStreamKeepsOneChunk(t *testing.T) {
-	p := testProfile()
-	rec, err := mustTemplates(t, p, 5).NewStream(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const skip = 5*recordChunk + 77
-	want := draw(mustGen(t, p, 5, 1), skip+4*recordChunk)
-	r := rec.Replay()
-	for i := 0; i < recordChunk+10; i++ {
-		if got, _ := r.Next(); got != want[i] {
-			t.Fatalf("record %d = %+v, generator %+v", i, got, want[i])
-		}
-	}
-	memtrace.Skip(r, skip-(recordChunk+10))
-	at := skip
-	// AllocsPerRun reads one chunk to warm up, then one measured.
-	allocs := testing.AllocsPerRun(1, func() {
-		for end := at + recordChunk; at < end; at++ {
-			if got, _ := r.Next(); got != want[at] {
-				t.Fatalf("record %d = %+v, generator %+v", at, got, want[at])
-			}
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("streaming two chunks allocates %.0f times", allocs)
-	}
-	held := 0
-	for _, c := range rec.chunks {
-		if c != nil {
-			held++
-		}
-	}
-	if held != 1 {
-		t.Errorf("stream holds %d chunks", held)
-	}
-}
