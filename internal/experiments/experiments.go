@@ -386,14 +386,14 @@ func (c *traceCache) replay(workload string, seed int64, scale float64) (memtrac
 			return nil, synth.Profile{}, err
 		}
 	}
-	if e.rec == nil && e.pending <= 1 {
-		g, err := e.tmpl.NewGenerator(scale)
-		if err != nil {
-			return nil, synth.Profile{}, err
-		}
-		return g, g.Profile(), nil
-	}
 	if e.rec == nil {
+		if e.pending <= 1 {
+			g, err := e.tmpl.NewGenerator(scale)
+			if err != nil {
+				return nil, synth.Profile{}, err
+			}
+			return g, g.Profile(), nil
+		}
 		rec, err := e.tmpl.NewRecording(scale)
 		if err != nil {
 			return nil, synth.Profile{}, err
@@ -406,8 +406,8 @@ func (c *traceCache) replay(workload string, seed int64, scale float64) (memtrac
 	return e.rec.Replay(), e.rec.Profile(), nil
 }
 
-// trace returns a replay of a workload's stream at the options' seed
-// and scale.
+// trace returns a reader at the start of a workload's stream at the
+// options' seed and scale.
 func (o Options) trace(workload string) (memtrace.Source, synth.Profile, error) {
 	return o.traces.replay(workload, o.Seed, o.Scale)
 }
