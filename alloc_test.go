@@ -82,12 +82,14 @@ func TestAccessZeroAllocs(t *testing.T) {
 }
 
 // TestTimingZeroAllocs pins the timing runner's budget: once its
-// in-flight pool, per-core op arenas, controller queues and event heap
+// in-flight pool, demux queue chunks, controller queues and event heap
 // have grown to a run's needs, RunTiming allocates nothing per
 // reference. Construction and pool growth are a per-run constant, so
 // two identically warmed runs of different lengths differ only by the
-// per-reference cost. The partitioned design's resize plan exercises
-// the transition path.
+// per-reference cost. Bytes are bounded as well as allocations, so a
+// buffer that regrows with the run length (the demux's queues once grew
+// by append doubling) shows even when it takes few mallocs. The
+// partitioned design's resize plan exercises the transition path.
 func TestTimingZeroAllocs(t *testing.T) {
 	const short, long = 50_000, 250_000
 	cases := []Config{
@@ -97,7 +99,7 @@ func TestTimingZeroAllocs(t *testing.T) {
 	}
 	for _, cfg := range cases {
 		cfg.Workload, cfg.PaperCapacityMB, cfg.WarmupRefs = WebSearch, 64, 100_000
-		mallocs := func(refs int) uint64 {
+		run := func(refs int) (mallocs, bytes uint64) {
 			c := cfg
 			c.Refs = refs
 			var before, after runtime.MemStats
@@ -106,13 +108,19 @@ func TestTimingZeroAllocs(t *testing.T) {
 				t.Fatalf("%s: %v", cfg.Design, err)
 			}
 			runtime.ReadMemStats(&after)
-			return after.Mallocs - before.Mallocs
+			return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 		}
-		s, l := mallocs(short), mallocs(long)
+		s, sb := run(short)
+		l, lb := run(long)
 		perRef := (float64(l) - float64(s)) / (long - short)
-		t.Logf("%s: %d allocs at %d refs, %d at %d refs: %.4f marginal allocs/ref", cfg.Design, s, short, l, long, perRef)
+		bytesPerRef := (float64(lb) - float64(sb)) / (long - short)
+		t.Logf("%s: %d allocs at %d refs, %d at %d refs: %.4f marginal allocs/ref, %.1f marginal B/ref",
+			cfg.Design, s, short, l, long, perRef, bytesPerRef)
 		if perRef > 0.01 {
 			t.Errorf("%s: RunTiming allocates %.4f per reference in steady state, want <= 0.01", cfg.Design, perRef)
+		}
+		if bytesPerRef > 16 {
+			t.Errorf("%s: RunTiming allocates %.1f bytes per reference in steady state, want <= 16", cfg.Design, bytesPerRef)
 		}
 	}
 }

@@ -331,13 +331,13 @@ func (c *Cache) Access(rec memtrace.Record, ops []dcache.Op) dcache.Outcome {
 	// predicted blocks streaming from the page's off-chip row, then
 	// the fill into the page's frame (one stacked row for 2KB pages).
 	fetchBlocks := popcount(footprint)
-	crit := dcache.NoDep
+	crit := int32(dcache.NoDep)
 	if !rec.Write {
-		crit = len(ops)
+		crit = int32(len(ops))
 		ops = append(ops, dcache.Op{Level: dcache.OffChip, Addr: rec.Addr, Bytes: 64, Critical: true, DependsOn: dcache.NoDep})
 	}
 	if fetchBlocks > 1 {
-		rest := len(ops)
+		rest := int32(len(ops))
 		pageBase := memtrace.Addr(pageIdx * uint64(c.cfg.Geometry.PageBytes))
 		ops = append(ops, dcache.Op{Level: dcache.OffChip, Addr: pageBase, Bytes: (fetchBlocks - 1) * 64, DependsOn: crit})
 		ops = append(ops, dcache.Op{Level: dcache.Stacked, Addr: frame, Bytes: fetchBlocks * 64, Write: true, DependsOn: rest})
@@ -376,7 +376,7 @@ func (c *Cache) evict(set int, victim *sram.Entry[pageEntry], frame memtrace.Add
 		c.ctr.DirtyEvicts++
 		n := popcount(dirty)
 		victimBase := memtrace.Addr(victim.Tag*uint64(c.sets)+uint64(set)) * memtrace.Addr(c.cfg.Geometry.PageBytes)
-		rd := len(ops)
+		rd := int32(len(ops))
 		ops = append(ops,
 			dcache.Op{Level: dcache.Stacked, Addr: frame, Bytes: n * 64, DependsOn: dcache.NoDep},
 			dcache.Op{Level: dcache.OffChip, Addr: victimBase, Bytes: n * 64, Write: true, DependsOn: rd},

@@ -145,9 +145,9 @@ func (b *BlockCache) Access(rec memtrace.Record, ops []Op) Outcome {
 	// 64B block, so a write miss installs without an off-chip read.
 	b.ctr.Misses++
 	ops = ops[:0]
-	crit := NoDep
+	crit := int32(NoDep)
 	if !rec.Write {
-		crit = len(ops)
+		crit = int32(len(ops))
 		ops = append(ops, Op{Level: OffChip, Addr: rec.Addr, Bytes: 64, Critical: true, DependsOn: NoDep})
 	}
 
@@ -161,7 +161,7 @@ func (b *BlockCache) Access(rec memtrace.Record, ops []Op) Outcome {
 			b.ctr.DirtyEvicts++
 			// Data travels with the fill's row activation; the
 			// off-chip writeback is posted.
-			rd := len(ops)
+			rd := int32(len(ops))
 			ops = append(ops, Op{Level: Stacked, Addr: b.rowBase(set), Bytes: 2 * 64, DependsOn: NoDep})
 			ops = append(ops, Op{Level: OffChip, Addr: victimAddr, Bytes: 64, Write: true, DependsOn: rd})
 		}
@@ -207,7 +207,7 @@ func (b *BlockCache) insertRegion(mmSet int, mmTag, mmBit uint64, ops []Op) []Op
 		b.ctr.PageEvicts++
 		if e.Value.dirty {
 			b.ctr.DirtyEvicts++
-			rd := len(ops)
+			rd := int32(len(ops))
 			ops = append(ops, Op{Level: Stacked, Addr: b.rowBase(set), Bytes: 2 * 64, DependsOn: NoDep})
 			ops = append(ops, Op{Level: OffChip, Addr: addr, Bytes: 64, Write: true, DependsOn: rd})
 		} else {

@@ -37,6 +37,16 @@ func TestTagEntrySize(t *testing.T) {
 	}
 }
 
+// TestOpSize pins the operation layout: the timing demux buffers the
+// ops of every queued record (tens of thousands on a saturated run), so
+// a field added to Op, or one widened back, shows up here rather than
+// in a timing run's peak RSS.
+func TestOpSize(t *testing.T) {
+	if got := unsafe.Sizeof(Op{}); got != 24 {
+		t.Errorf("Op is %d bytes, want 24", got)
+	}
+}
+
 func TestBlockCacheConfigValidation(t *testing.T) {
 	if _, err := NewBlockCache(BlockCacheConfig{CapacityBytes: 100, MissMapEntries: 8, MissMapWays: 8}); err == nil {
 		t.Fatal("sub-row capacity accepted")

@@ -23,7 +23,7 @@ import (
 )
 
 // Level selects which DRAM subsystem an operation targets.
-type Level int
+type Level uint8
 
 const (
 	// Stacked is the die-stacked DRAM cache array.
@@ -43,11 +43,13 @@ func (l Level) String() string {
 // NoDep marks an operation with no dependency.
 const NoDep = -1
 
-// Op is one DRAM transaction triggered by a cache access.
+// Op is one DRAM transaction triggered by a cache access. Its fields
+// are ordered, and Level and DependsOn narrowed, so that an Op packs
+// into 24 bytes: the timing demux buffers every queued record's ops.
 type Op struct {
-	Level Level
 	Addr  memtrace.Addr
 	Bytes int
+	Level Level
 	Write bool
 	// Critical operations are on the requestor's latency path; the
 	// access completes when all critical ops complete. Non-critical
@@ -55,7 +57,7 @@ type Op struct {
 	Critical bool
 	// DependsOn is the index within the same Outcome of an op that
 	// must complete before this one issues, or NoDep.
-	DependsOn int
+	DependsOn int32
 }
 
 // Outcome describes everything one access caused.
@@ -176,7 +178,7 @@ func criticality(write bool) bool { return !write }
 // request's completion must not wait on background traffic).
 func ValidateOps(ops []Op) error {
 	for i, op := range ops {
-		if op.DependsOn != NoDep && (op.DependsOn < 0 || op.DependsOn >= i) {
+		if op.DependsOn != NoDep && (op.DependsOn < 0 || int(op.DependsOn) >= i) {
 			return fmt.Errorf("op %d depends on %d (must precede it)", i, op.DependsOn)
 		}
 		if op.Bytes <= 0 || op.Bytes%64 != 0 {

@@ -367,7 +367,7 @@ func (e *Engine) moveOps(meta PageMeta, oldFrame, newFrame int64, ops []Op) []Op
 		return ops
 	}
 	if !meta.Spread {
-		rd := len(ops)
+		rd := int32(len(ops))
 		ops = append(ops,
 			Op{Level: Stacked, Addr: e.mapping.BlockAddr(oldFrame, 0, false), Bytes: n * 64, DependsOn: NoDep},
 			Op{Level: Stacked, Addr: e.mapping.BlockAddr(newFrame, 0, false), Bytes: n * 64, Write: true, DependsOn: rd},
@@ -376,7 +376,7 @@ func (e *Engine) moveOps(meta PageMeta, oldFrame, newFrame int64, ops []Op) []Op
 	}
 	for rem := meta.Valid; rem != 0; rem &= rem - 1 {
 		b := trailingZeros(rem)
-		rd := len(ops)
+		rd := int32(len(ops))
 		ops = append(ops,
 			Op{Level: Stacked, Addr: e.mapping.BlockAddr(oldFrame, b, true), Bytes: 64, DependsOn: NoDep},
 			Op{Level: Stacked, Addr: e.mapping.BlockAddr(newFrame, b, true), Bytes: 64, Write: true, DependsOn: rd},
@@ -392,16 +392,16 @@ func (e *Engine) moveOps(meta PageMeta, oldFrame, newFrame int64, ops []Op) []Op
 // per block for row-spread frames.
 func (e *Engine) fetch(rec memtrace.Record, pageIdx uint64, block int, frame int64, footprint uint64, spread bool, ops []Op) []Op {
 	n := popcount(footprint)
-	crit := NoDep
+	crit := int32(NoDep)
 	if !rec.Write {
-		crit = len(ops)
+		crit = int32(len(ops))
 		ops = append(ops, Op{Level: OffChip, Addr: rec.Addr, Bytes: 64, Critical: true, DependsOn: NoDep})
 	}
 	if n == 1 {
 		ops = append(ops, Op{Level: Stacked, Addr: e.mapping.BlockAddr(frame, block, spread), Bytes: 64, Write: true, DependsOn: crit})
 		return ops
 	}
-	rest := len(ops)
+	rest := int32(len(ops))
 	pageBase := memtrace.Addr(pageIdx * uint64(e.geom.PageBytes))
 	ops = append(ops, Op{Level: OffChip, Addr: pageBase, Bytes: (n - 1) * 64, DependsOn: crit})
 	if !spread {
@@ -432,7 +432,7 @@ func (e *Engine) evict(set int, victim *sram.Entry[PageMeta], frame int64, ops [
 	e.ctr.DirtyEvicts++
 	n := popcount(v.Dirty)
 	victimBase := memtrace.Addr(e.pageIdxOf(victim.Tag, set)) * memtrace.Addr(e.geom.PageBytes)
-	rd := len(ops)
+	rd := int32(len(ops))
 	if !v.Spread {
 		ops = append(ops, Op{Level: Stacked, Addr: e.mapping.BlockAddr(frame, 0, false), Bytes: n * 64, DependsOn: NoDep})
 	} else {

@@ -195,12 +195,12 @@ func (p *PageCache) Access(rec memtrace.Record, ops []Op) Outcome {
 	// fill into the stacked array. A write miss carries its own 64B
 	// block, so only the remainder is fetched.
 	pageBase := memtrace.Addr(pageIdx * uint64(p.geom.PageBytes))
-	crit := NoDep
+	crit := int32(NoDep)
 	if !rec.Write {
-		crit = len(ops)
+		crit = int32(len(ops))
 		ops = append(ops, Op{Level: OffChip, Addr: rec.Addr, Bytes: 64, Critical: true, DependsOn: NoDep})
 	}
-	rest := len(ops)
+	rest := int32(len(ops))
 	ops = append(ops, Op{Level: OffChip, Addr: pageBase, Bytes: p.geom.PageBytes - 64, DependsOn: crit})
 	ops = append(ops, Op{Level: Stacked, Addr: frame, Bytes: p.geom.PageBytes, Write: true, DependsOn: rest})
 

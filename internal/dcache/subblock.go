@@ -127,9 +127,9 @@ func (s *SubblockCache) Access(rec memtrace.Record, ops []Op) Outcome {
 			)
 		}
 	}
-	crit := NoDep
+	crit := int32(NoDep)
 	if !rec.Write {
-		crit = len(ops)
+		crit = int32(len(ops))
 		ops = append(ops, Op{Level: OffChip, Addr: rec.Addr, Bytes: 64, Critical: true, DependsOn: NoDep})
 	}
 	ops = append(ops, Op{Level: Stacked, Addr: frame + memtrace.Addr(block*64), Bytes: 64, Write: true, DependsOn: crit})

@@ -26,7 +26,10 @@ type Entry[V any] struct {
 func (e *Entry[V]) Valid() bool { return e.valid }
 
 // Way returns the entry's way index within its set. Set/way pairs
-// directly determine DRAM cache frame addresses (paper §4.1).
+// directly determine DRAM cache frame addresses (paper §4.1). An entry
+// holds its way from the first time SetAssoc hands it out (Victim,
+// Slot) or restores it (Load); valid entries always have been, so
+// construction need not write every entry.
 func (e *Entry[V]) Way() int { return int(e.way) }
 
 // SetAssoc is a set-associative array with true-LRU replacement.
@@ -51,11 +54,7 @@ func NewSetAssoc[V any](sets, ways int) *SetAssoc[V] {
 	if sets <= 0 || ways <= 0 {
 		panic(fmt.Sprintf("sram: invalid geometry %dx%d", sets, ways))
 	}
-	c := &SetAssoc[V]{sets: sets, ways: ways, data: make([]Entry[V], sets*ways)}
-	for i := range c.data {
-		c.data[i].way = uint32(i % ways)
-	}
-	return c
+	return &SetAssoc[V]{sets: sets, ways: ways, data: make([]Entry[V], sets*ways)}
 }
 
 // Sets returns the number of sets.
@@ -107,6 +106,7 @@ func (c *SetAssoc[V]) Victim(set int) *Entry[V] {
 	var lru *Entry[V]
 	for i := range ways {
 		if !ways[i].valid {
+			ways[i].way = uint32(i)
 			return &ways[i]
 		}
 		if lru == nil || ways[i].used < lru.used {
@@ -161,7 +161,9 @@ func (c *SetAssoc[V]) Slot(set, way int) *Entry[V] {
 	if set < 0 || set >= c.sets || way < 0 || way >= c.ways {
 		return nil
 	}
-	return &c.data[set*c.ways+way]
+	e := &c.data[set*c.ways+way]
+	e.way = uint32(way)
+	return e
 }
 
 // Range calls fn for every valid entry. Mutating payloads through the

@@ -1,9 +1,12 @@
 package sram
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"fpcache/internal/snap"
 )
 
 func TestLookupMissThenInsertHit(t *testing.T) {
@@ -94,6 +97,76 @@ func TestWayStableAcrossOperations(t *testing.T) {
 	}
 	if len(ways) != 2 {
 		t.Fatal("two entries share a way")
+	}
+}
+
+// TestWaysAfterRandomOps checks that ways are stamped where entries
+// are handed out rather than at construction: after random Insert,
+// Lookup, Invalidate, Flush and Save→Load sequences, every entry
+// reached through Lookup, Peek, Victim, Slot or Range reports the way
+// it sits in.
+func TestWaysAfterRandomOps(t *testing.T) {
+	const sets, ways = 8, 5
+	rng := rand.New(rand.NewSource(7))
+	c := NewSetAssoc[int](sets, ways)
+	// wayOf locates e in the backing array directly: Slot would stamp
+	// the entries it passes.
+	wayOf := func(set int, e *Entry[int]) int {
+		i := 0
+		for ; i < ways && &c.data[set*ways+i] != e; i++ {
+		}
+		return i
+	}
+	check := func(step int, via string, set int, e *Entry[int]) {
+		t.Helper()
+		if e == nil {
+			return
+		}
+		if w := wayOf(set, e); e.Way() != w {
+			t.Fatalf("step %d: %s entry of set %d sits in way %d, reports %d", step, via, set, w, e.Way())
+		}
+	}
+	fresh := NewSetAssoc[int](sets, ways)
+	for set := 0; set < sets; set++ {
+		for w := 0; w < ways; w++ {
+			if got := fresh.Slot(set, w).Way(); got != w {
+				t.Fatalf("fresh Slot(%d, %d) reports way %d", set, w, got)
+			}
+		}
+	}
+	for step := 0; step < 20_000; step++ {
+		set, tag := rng.Intn(sets), uint64(rng.Intn(3*ways))
+		switch op := rng.Intn(100); {
+		case op < 40:
+			c.Insert(set, tag, int(tag))
+		case op < 60:
+			check(step, "Lookup", set, c.Lookup(set, tag))
+		case op < 70:
+			check(step, "Peek", set, c.Peek(set, tag))
+		case op < 85:
+			c.Invalidate(set, tag)
+		case op < 90:
+			check(step, "Victim", set, c.Victim(set))
+		case op < 95:
+			w := rng.Intn(ways)
+			if e := c.Slot(set, w); e.Way() != w {
+				t.Fatalf("step %d: Slot(%d, %d) reports way %d", step, set, w, e.Way())
+			}
+		case op < 97:
+			c.Flush(nil)
+		default:
+			var buf bytes.Buffer
+			w := snap.NewWriter(&buf)
+			c.Save(w, func(w *snap.Writer, v *int) { w.U64(uint64(*v)) })
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			c = NewSetAssoc[int](sets, ways)
+			if err := c.Load(snap.NewReader(&buf), func(r *snap.Reader, v *int) { *v = int(r.U64()) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.Range(func(set int, e *Entry[int]) { check(step, "Range", set, e) })
 	}
 }
 

@@ -56,7 +56,7 @@ func (c *SetAssoc[V]) Load(r *snap.Reader, dec func(*snap.Reader, *V)) error {
 	c.Evictions = r.U64()
 	for i := range c.data {
 		e := &c.data[i]
-		*e = Entry[V]{way: e.way}
+		*e = Entry[V]{way: uint32(i % c.ways)}
 		if r.Bool() {
 			e.valid = true
 			e.Tag = r.U64()

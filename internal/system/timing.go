@@ -70,8 +70,9 @@ type TimingResult struct {
 	// QueueHighWater is the run's high-water mark of records buffered
 	// across the demux's per-core queues. Pinning functional state
 	// transitions to trace order means a core-skewed trace buffers the
-	// skew (each queued record's ops held in its core's arena); this
-	// reports that memory cost instead of leaving it unmeasured.
+	// skew (each queued record and its ops held in its core's queue
+	// chunks, which the chunks a run allocates follow); this reports
+	// that memory cost instead of leaving it unmeasured.
 	QueueHighWater uint64
 	// Partition carries partition statistics when the design
 	// partitions its stacked capacity, nil otherwise.
@@ -100,47 +101,127 @@ func (r TimingResult) StackedEnergyPerInstr() energy.Breakdown {
 }
 
 // queuedRec is one record waiting in a core's queue: the record, its
-// SRAM tag lead time, and how many ops it holds in the queue's arena.
+// SRAM tag lead time, and how many ops it holds in its chunk.
 type queuedRec struct {
 	rec       memtrace.Record
-	tagCycles int
-	nops      int
+	tagCycles int32
+	nops      int32
 }
 
-// coreQueue is one core's FIFO of drained but not yet pulled records.
-// Their ops sit back to back, in queue order, in one arena, so a
-// queued record pins no buffer of its own. Both slices compact once
-// the head passes half their length, so their capacity follows the
-// queue's high-water mark rather than the run length.
-type coreQueue struct {
-	recs  []queuedRec
-	rhead int
-	ops   []dcache.Op
-	ohead int
+// Chunk capacities: a chunk takes chunkRecs records or chunkOps ops,
+// whichever fills first, and a record with more than chunkOps ops gets
+// a chunk of its own size. Small chunks go back to the pool soon after
+// they fill, so pushes mostly write to memory that is still cached.
+const (
+	chunkRecs = 64
+	chunkOps  = 4 * chunkRecs
+)
+
+// qchunk is one block of a core queue: records and their ops back to
+// back, appended at the tail and read from rhead/ohead.
+type qchunk struct {
+	recs         []queuedRec
+	ops          []dcache.Op
+	rhead, ohead int
+	next         *qchunk
 }
 
-// push appends a record and a copy of its ops.
-func (q *coreQueue) push(rec memtrace.Record, tagCycles int, ops []dcache.Op) {
-	if 2*q.rhead >= len(q.recs) {
-		q.recs = q.recs[:copy(q.recs, q.recs[q.rhead:])]
-		q.ops = q.ops[:copy(q.ops, q.ops[q.ohead:])]
-		q.rhead, q.ohead = 0, 0
+// chunkPool is a demux's free list of standard-size chunks, shared by
+// its core queues, so the chunks a run allocates follow the high-water
+// mark of records queued across all cores rather than the run length.
+type chunkPool struct {
+	free *qchunk
+	// made counts the chunks allocated, for tests.
+	made int
+}
+
+// get returns an empty chunk with room for at least nops ops.
+func (p *chunkPool) get(nops int) *qchunk {
+	if nops > chunkOps {
+		p.made++
+		return &qchunk{recs: make([]queuedRec, 0, 1), ops: make([]dcache.Op, 0, nops)}
 	}
-	q.recs = append(q.recs, queuedRec{rec: rec, tagCycles: tagCycles, nops: len(ops)})
-	q.ops = append(q.ops, ops...)
+	c := p.free
+	if c == nil {
+		p.made++
+		return &qchunk{recs: make([]queuedRec, 0, chunkRecs), ops: make([]dcache.Op, 0, chunkOps)}
+	}
+	p.free, c.next = c.next, nil
+	return c
 }
 
-// pop removes the head record. Its ops alias the arena and stay valid
-// until the next push.
+// put empties a chunk the queue head has passed and returns it to the
+// free list; an oversize chunk is left to the garbage collector.
+func (p *chunkPool) put(c *qchunk) {
+	if cap(c.ops) != chunkOps {
+		return
+	}
+	c.recs, c.ops = c.recs[:0], c.ops[:0]
+	c.rhead, c.ohead = 0, 0
+	c.next, p.free = p.free, c
+}
+
+// coreQueue is one core's FIFO of drained but not yet pulled records:
+// a list of chunks from its demux's pool, pushed at the tail and
+// popped at the head, so a queued record pins no buffer of its own.
+// Popping is split in two so that its fast path inlines into
+// demux.pull: pop reads the head chunk, and advance moves past it.
+type coreQueue struct {
+	head, tail *qchunk
+}
+
+// push appends a record and a copy of its ops, starting a new tail
+// chunk from pool when either of the current one's arrays is full.
+func (q *coreQueue) push(pool *chunkPool, rec memtrace.Record, tagCycles int, ops []dcache.Op) {
+	t := q.tail
+	if t == nil || len(t.recs) == cap(t.recs) || len(t.ops)+len(ops) > cap(t.ops) {
+		t = pool.get(len(ops))
+		if q.tail == nil {
+			q.head = t
+		} else {
+			q.tail.next = t
+		}
+		q.tail = t
+	}
+	t.recs = append(t.recs, queuedRec{rec: rec, tagCycles: int32(tagCycles), nops: int32(len(ops))})
+	t.ops = append(t.ops, ops...)
+}
+
+// pop removes the head chunk's next record, and reports false when the
+// head chunk has none left: the queue is empty, or advance must move
+// on to the next chunk. The ops alias the chunk and stay valid until
+// the queue's next advance, which follows only a pop that came back
+// empty.
+//
+//fplint:hotpath
 func (q *coreQueue) pop() (queuedRec, []dcache.Op, bool) {
-	if q.rhead == len(q.recs) {
+	c := q.head
+	if c == nil || c.rhead == len(c.recs) {
 		return queuedRec{}, nil, false
 	}
-	r := q.recs[q.rhead]
-	q.rhead++
-	ops := q.ops[q.ohead : q.ohead+r.nops]
-	q.ohead += r.nops
+	r := c.recs[c.rhead]
+	c.rhead++
+	ops := c.ops[c.ohead : c.ohead+int(r.nops)]
+	c.ohead += int(r.nops)
 	return r, ops, true
+}
+
+// advance returns the head chunk, which pop has emptied, to pool and
+// reports whether another chunk follows it. A queue that runs empty
+// therefore holds no chunk until its next push.
+//
+//fplint:hotpath
+func (q *coreQueue) advance(pool *chunkPool) bool {
+	c := q.head
+	if c == nil {
+		return false
+	}
+	q.head = c.next
+	if q.head == nil {
+		q.tail = nil
+	}
+	pool.put(c)
+	return q.head != nil
 }
 
 // demux fans one interleaved trace out to per-core queues, performing
@@ -156,13 +237,18 @@ func (q *coreQueue) pop() (queuedRec, []dcache.Op, bool) {
 // trace whose records skew heavily toward one core makes the other
 // cores' pulls drain (and functionally evaluate) the remainder of the
 // trace up front, buffering every queued record's ops in its core's
-// arena. Synthetic workloads interleave cores evenly, so queues stay
-// shallow; a pathologically skewed replayed trace costs memory
-// proportional to the skew, never correctness. The queued/highWater
-// counters measure that cost per run (TimingResult.QueueHighWater).
+// queue chunks. Synthetic workloads interleave cores evenly, but while
+// one core stalls on DRAM the others' pulls keep draining the trace
+// into its queue: the bench's timing points peak at 17–24 thousand
+// queued records across 16 cores. A pathologically skewed replayed
+// trace costs memory proportional to the skew, never correctness. The
+// queued/highWater counters measure that cost per run
+// (TimingResult.QueueHighWater).
 type demux struct {
 	st     stepper
 	queues []coreQueue
+	// pool holds the queues' free chunks.
+	pool chunkPool
 
 	// queued is the current total of buffered records across queues;
 	// highWater its run maximum.
@@ -175,19 +261,23 @@ type demux struct {
 }
 
 // pull returns the given core's next record with its precomputed
-// outcome; the ops alias the core's arena and stay valid until the
-// next pull.
+// outcome; the ops alias the core's queue and stay valid until the
+// core's next pull.
 func (d *demux) pull(core int) (queuedRec, []dcache.Op, bool) {
+	q := &d.queues[core]
 	for d.st.err == nil {
-		if r, ops, ok := d.queues[core].pop(); ok {
+		if r, ops, ok := q.pop(); ok {
 			d.queued--
 			return r, ops, true
+		}
+		if q.advance(&d.pool) {
+			continue
 		}
 		if !d.st.next() {
 			break
 		}
 		rec := d.st.rec
-		d.queues[int(rec.Core)%len(d.queues)].push(rec, d.st.out.TagCycles, d.st.out.Ops)
+		d.queues[int(rec.Core)%len(d.queues)].push(&d.pool, rec, d.st.out.TagCycles, d.st.out.Ops)
 		if d.queued++; d.queued > d.highWater {
 			d.highWater = d.queued
 		}
@@ -282,7 +372,7 @@ func RunTiming(design dcache.Design, src memtrace.Source, cfg TimingConfig) (Tim
 			if !ok {
 				return memtrace.Record{}, nil, false
 			}
-			return qr.rec, r.take(&r.free, ops, qr.tagCycles), true
+			return qr.rec, r.take(&r.free, ops, int(qr.tagCycles)), true
 		}
 		cores[i] = cpu.New(id, cfg.MLP, eng, pull, r.issue)
 		cores[i].Start()
@@ -374,7 +464,7 @@ type inflight struct {
 // bound to the request's address.
 type opSlot struct {
 	fl  *inflight
-	i   int
+	i   int32
 	req dram.Request
 }
 
@@ -393,7 +483,7 @@ func (r *timingRun) take(pool *[]*inflight, ops []dcache.Op, tagCycles int) *inf
 	}
 	fl.ops = append(fl.ops[:0], ops...)
 	for len(fl.slots) < len(fl.ops) {
-		s := &opSlot{fl: fl, i: len(fl.slots)}
+		s := &opSlot{fl: fl, i: int32(len(fl.slots))}
 		s.req.Done = s.complete
 		fl.slots = append(fl.slots, s)
 	}
@@ -416,6 +506,8 @@ func (r *timingRun) issue(rec memtrace.Record, fl *inflight, done func()) {
 // if there are none). Dependents are found by scanning ops, which keeps
 // dispatch free of per-reference bookkeeping (outcome DAGs are at most
 // a few dozen ops deep).
+//
+//fplint:hotpath
 func (fl *inflight) dispatch() {
 	if len(fl.ops) == 0 {
 		fl.finish()
@@ -455,7 +547,9 @@ func (fl *inflight) submit(i int) {
 // complete retires op i: the last critical op finishes the reference,
 // then op i's dependents issue in index order, and the last op returns
 // the record to the pool.
-func (fl *inflight) complete(i int) {
+//
+//fplint:hotpath
+func (fl *inflight) complete(i int32) {
 	if fl.ops[i].Critical {
 		fl.critLeft--
 		if fl.critLeft == 0 {
