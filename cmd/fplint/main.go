@@ -42,7 +42,6 @@ var scopes = map[string][]string{
 		"fpcache/internal/snap",
 		"fpcache/internal/memtrace",
 		"fpcache/internal/system",
-		"fpcache/internal/control",
 	},
 	"workershare": {
 		"fpcache/internal/sweep",

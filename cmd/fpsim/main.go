@@ -23,13 +23,6 @@
 // by the trace file's content hash, so a state warmed on one stream
 // never continues another.
 //
-// A long recorded trace can be simulated interval-parallel
-// (DESIGN.md §11): -intervals splits the measured region into
-// chunk-aligned intervals that run concurrently on -j workers and
-// merge into the exact serial result; with -state-cache the boundary
-// checkpoints persist too, so runs after the first parallelize fully;
-// -sample-every measures only every k-th interval (with an
-// -interval-warmup cold pre-roll) and reports confidence intervals.
 // -skip fast-forwards a replay into the middle of a recording via the
 // chunk index, without decoding the skipped prefix.
 //
@@ -50,9 +43,6 @@
 //	fpsim -design footprint+hybrid -trace-in run.trace
 //	fpsim -design page,footprint -state-cache .warm -j 2
 //	fpsim -design footprint -trace-in run.trace -skip 500000
-//	fpsim -design footprint -trace-in run.trace -intervals 8 -j 4
-//	fpsim -design footprint -trace-in run.trace -intervals 8 -state-cache .ckpt
-//	fpsim -design footprint -trace-in run.trace -intervals 16 -sample-every 4
 //	fpsim -design footprint+memcache:50 -resize 0.25,0.75 -resize-every 250000
 //	fpsim -design subblock+memlow:0 -adaptive
 //	fpsim -point-timeout 5m
@@ -72,7 +62,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"fpcache"
 	"fpcache/internal/fault"
@@ -83,27 +72,24 @@ import (
 
 func main() {
 	var (
-		workload  = flag.String("workload", fpcache.WebSearch, "workload name(s), comma-separated")
-		design    = flag.String("design", string(fpcache.Footprint), "cache design(s) or composite policy spec(s), comma-separated")
-		capMB     = flag.String("capacity", "256", "paper-scale capacity list in MB, comma-separated")
-		scale     = flag.Float64("scale", fpcache.DefaultScale, "capacity scale factor")
-		refs      = flag.Int("refs", 1_000_000, "measured references")
-		warmup    = flag.Int("warmup", 0, "warmup references (default: same as -refs)")
-		seed      = flag.Int64("seed", 1, "random seed")
-		mode      = flag.String("mode", "functional", "simulation mode: functional or timing")
-		resize    = flag.String("resize", "", "comma-separated memory fractions cycled by the partition resize driver (partitioned designs, e.g. 0.25,0.75)")
-		resizeN   = flag.Int("resize-every", 0, "resize cadence in measured references (requires -resize or -adaptive)")
-		adaptive  = flag.Bool("adaptive", false, "adaptive partition resizing: an online controller scores a telemetry window every epoch and hill-climbs the split (partitioned designs; -resize-every sets the epoch length)")
-		workers   = flag.Int("j", 0, "parallel simulation points: 0 = all cores, 1 = serial")
-		traceOut  = flag.String("trace-out", "", "record the reference stream to this trace file (functional mode, single point)")
-		traceIn   = flag.String("trace-in", "", "replay a recorded trace file instead of the generator (functional mode); '-' reads the trace from stdin, which also streams a v2 file whose chunk index is missing")
-		skip      = flag.Int("skip", 0, "fast-forward N trace records before the run via the chunk index (requires a seekable -trace-in file)")
-		intervals = flag.Int("intervals", 0, "split the measured region into N chunk-aligned intervals and simulate them in parallel on -j workers (requires a seekable -trace-in file, single point)")
-		sampleK   = flag.Int("sample-every", 0, "sampled mode: measure every k-th interval after a cold pre-roll instead of chaining exact state (requires -intervals)")
-		sampleW   = flag.Int("interval-warmup", 0, "cold pre-roll records before each sampled interval (default: the interval's own length; requires -sample-every)")
-		stateDir  = flag.String("state-cache", "", "directory of content-keyed warm-state snapshots, shared with fpbench: each functional point (and each -intervals boundary checkpoint) warms once and later runs restore it (results byte-identical)")
-		timeout   = flag.Duration("point-timeout", 0, "deadline for each simulation point (0 = none)")
-		list      = flag.Bool("list", false, "list workload, design, and policy names and exit")
+		workload = flag.String("workload", fpcache.WebSearch, "workload name(s), comma-separated")
+		design   = flag.String("design", string(fpcache.Footprint), "cache design(s) or composite policy spec(s), comma-separated")
+		capMB    = flag.String("capacity", "256", "paper-scale capacity list in MB, comma-separated")
+		scale    = flag.Float64("scale", fpcache.DefaultScale, "capacity scale factor")
+		refs     = flag.Int("refs", 1_000_000, "measured references")
+		warmup   = flag.Int("warmup", 0, "warmup references (default: same as -refs)")
+		seed     = flag.Int64("seed", 1, "random seed")
+		mode     = flag.String("mode", "functional", "simulation mode: functional or timing")
+		resize   = flag.String("resize", "", "comma-separated memory fractions cycled by the partition resize driver (partitioned designs, e.g. 0.25,0.75)")
+		resizeN  = flag.Int("resize-every", 0, "resize cadence in measured references (requires -resize or -adaptive)")
+		adaptive = flag.Bool("adaptive", false, "adaptive partition resizing: an online controller scores a telemetry window every epoch and hill-climbs the split (partitioned designs; -resize-every sets the epoch length)")
+		workers  = flag.Int("j", 0, "parallel simulation points: 0 = all cores, 1 = serial")
+		traceOut = flag.String("trace-out", "", "record the reference stream to this trace file (functional mode, single point)")
+		traceIn  = flag.String("trace-in", "", "replay a recorded trace file instead of the generator (functional mode); '-' reads the trace from stdin, which also streams a v2 file whose chunk index is missing")
+		skip     = flag.Int("skip", 0, "fast-forward N trace records before the run via the chunk index (requires a seekable -trace-in file)")
+		stateDir = flag.String("state-cache", "", "directory of content-keyed warm-state snapshots, shared with fpbench: each functional point warms once and later runs restore it (results byte-identical)")
+		timeout  = flag.Duration("point-timeout", 0, "deadline for each simulation point (0 = none)")
+		list     = flag.Bool("list", false, "list workload, design, and policy names and exit")
 	)
 	flag.Parse()
 
@@ -115,8 +101,8 @@ func main() {
 	if *mode != "functional" && *mode != "timing" {
 		fail(fmt.Errorf("unknown mode %q (functional or timing)", *mode))
 	}
-	if (*traceOut != "" || *traceIn != "") && *mode != "functional" && *intervals <= 0 {
-		fail(fmt.Errorf("-trace-out/-trace-in require -mode functional (or -intervals, which times each interval from the replayed trace)"))
+	if (*traceOut != "" || *traceIn != "") && *mode != "functional" {
+		fail(fmt.Errorf("-trace-out/-trace-in require -mode functional"))
 	}
 	if *traceOut != "" && *traceIn != "" {
 		fail(fmt.Errorf("-trace-out and -trace-in are mutually exclusive"))
@@ -135,23 +121,9 @@ func main() {
 			fail(fmt.Errorf("-state-cache does not combine with -trace-in - (stdin has no content identity to key entries by)"))
 		case *skip > 0:
 			fail(fmt.Errorf("-state-cache does not combine with -skip"))
-		case *mode == "timing" && *intervals <= 0:
-			fail(fmt.Errorf("-state-cache does not combine with -mode timing unless -intervals is set"))
+		case *mode == "timing":
+			fail(fmt.Errorf("-state-cache does not combine with -mode timing"))
 		}
-	}
-	if *intervals > 0 {
-		switch {
-		case *traceIn == "":
-			fail(fmt.Errorf("-intervals simulates a recorded trace; it requires -trace-in"))
-		case *traceIn == "-":
-			fail(fmt.Errorf("-intervals needs a seekable trace file (each interval reads its own section); stdin is not seekable"))
-		case *traceOut != "":
-			fail(fmt.Errorf("-intervals does not combine with -trace-out"))
-		case *skip > 0:
-			fail(fmt.Errorf("-intervals does not combine with -skip"))
-		}
-	} else if *sampleK != 0 || *sampleW != 0 {
-		fail(fmt.Errorf("-sample-every/-interval-warmup require -intervals"))
 	}
 
 	var cache *system.WarmCache
@@ -214,15 +186,6 @@ func main() {
 	}
 	if *traceOut != "" && len(pts) > 1 {
 		fail(fmt.Errorf("-trace-out records one run; got %d simulation points", len(pts)))
-	}
-	if *intervals > 0 {
-		if len(pts) > 1 {
-			fail(fmt.Errorf("-intervals parallelizes one run over its intervals; got %d simulation points (use -j without -intervals to sweep points)", len(pts)))
-		}
-		if err := runIntervalPoint(os.Stdout, pts[0], *mode, *traceIn, cache, *intervals, *sampleK, *sampleW, *workers, *timeout); err != nil {
-			fail(err)
-		}
-		return
 	}
 	// Every point replays the same -trace-in file, so its content hash
 	// (part of each point's state-cache key) is computed once.
@@ -406,9 +369,9 @@ func fileTraceID(path string) (string, error) {
 // returns for the point: restored (the warmup records of src skipped)
 // or warmed and stored. The key is the one fpbench builds for the same
 // point, so the two commands share entries; a trace-file replay adds
-// the file's content hash (traceID) and the warmup boundary, so a
-// state warmed on one stream never continues another. A quarantined
-// entry is reported on stderr; the point still measures, cold.
+// the file's content hash (traceID), so a state warmed on one stream
+// never continues another. A quarantined entry is reported on stderr;
+// the point still measures, cold.
 func runCached(cfg fpcache.Config, src memtrace.Source, traceID string, cache *system.WarmCache) (fpcache.FunctionalResult, error) {
 	if cfg.Refs <= 0 {
 		return fpcache.FunctionalResult{}, fmt.Errorf("-refs must be positive")
@@ -420,9 +383,7 @@ func runCached(cfg fpcache.Config, src memtrace.Source, traceID string, cache *s
 		WarmupRefs: effectiveWarmup(cfg),
 		Spec:       designSpec(cfg),
 	}
-	if traceID != "" {
-		key.TraceID, key.AtRecord = traceID, uint64(key.WarmupRefs)
-	}
+	key.TraceID = traceID
 	state, quarantined, err := cache.Warm(key, src)
 	if quarantined != nil {
 		reportQuarantine(cfg, *quarantined)
@@ -461,76 +422,6 @@ func effectiveWarmup(cfg fpcache.Config) int {
 	default:
 		return cfg.WarmupRefs
 	}
-}
-
-// runIntervalPoint runs one trace through the interval-parallel
-// runner (DESIGN.md §11): the measured region splits into chunk-aligned
-// intervals that simulate concurrently on -j workers and merge into the
-// exact serial result — the standard report block prints unchanged, so
-// output can be diffed against a serial replay, followed by
-// "interval"-prefixed plan lines. With a state cache, boundary
-// checkpoints persist: the first (cold) run executes serially while
-// storing them, and later runs restore and parallelize. With
-// -sample-every, only every k-th interval is measured after a cold
-// pre-roll, and the report carries the hit-ratio confidence interval
-// that approximation costs.
-func runIntervalPoint(w io.Writer, cfg fpcache.Config, mode, traceIn string, cache *system.WarmCache, intervals, sampleK, sampleW, workers int, timeout time.Duration) error {
-	f, err := os.Open(traceIn)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	tr, err := memtrace.NewFileReader(f)
-	if err != nil {
-		return err
-	}
-	opt := system.IntervalOptions{
-		Spec:       designSpec(cfg),
-		Workload:   cfg.Workload,
-		Seed:       cfg.Seed,
-		Scale:      cfg.Scale,
-		WarmupRefs: effectiveWarmup(cfg),
-		MaxRefs:    cfg.Refs,
-		Intervals:  intervals, Workers: workers,
-		SampleEvery: sampleK, SampleWarmup: sampleW,
-		Timeout: timeout,
-		Cache:   cache,
-	}
-	switch {
-	case cfg.AdaptiveResize:
-		ac := cfg.AdaptiveConfig()
-		opt.Adaptive = &ac
-	case cfg.ResizePeriodRefs > 0 && len(cfg.ResizeFractions) > 0:
-		opt.Plan = &system.ResizePlan{PeriodRefs: cfg.ResizePeriodRefs, Fractions: cfg.ResizeFractions}
-	}
-	if mode == "timing" {
-		// The timing engine needs the workload's core count and MLP; the
-		// replayed records themselves carry everything else.
-		_, prof, err := fpcache.NewTrace(cfg)
-		if err != nil {
-			return err
-		}
-		opt.Timing = &system.TimingConfig{Cores: prof.Cores, MLP: prof.MLP}
-	}
-	rep, err := system.RunIntervals(tr, opt)
-	if err != nil {
-		return err
-	}
-	for _, q := range rep.Quarantined {
-		reportQuarantine(cfg, q)
-	}
-	if rep.Timing != nil {
-		printTiming(w, cfg, *rep.Timing)
-	} else {
-		printFunctional(w, cfg, rep.Functional)
-	}
-	fmt.Fprintf(w, "interval plan:       %d interval(s) in %d segment(s), checkpoints restored %d stored %d\n",
-		len(rep.Intervals), rep.Segments, rep.Restored, rep.Stored)
-	if rep.Sampled {
-		fmt.Fprintf(w, "interval sampling:   measured %.0f%% of records, hit ratio %.4f ± %.4f (95%% CI)\n",
-			100*rep.MeasuredFraction, rep.HitRatioMean, rep.HitRatioCI95)
-	}
-	return nil
 }
 
 // printLists writes the valid workload, design, and policy names.

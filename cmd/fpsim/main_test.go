@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -16,7 +15,6 @@ import (
 	"fpcache"
 	"fpcache/internal/experiments"
 	"fpcache/internal/memtrace"
-	"fpcache/internal/system"
 )
 
 // TestMain lets a test run the command itself: with FPSIM_RUN_MAIN set,
@@ -265,94 +263,6 @@ func TestSkipPastEnd(t *testing.T) {
 	writeV2Trace(t, cfg, path, 2_000, 512)
 	if _, err := runFunctionalPoint(cfg, path, "", 1_000_000); err == nil {
 		t.Fatal("-skip past the end of the trace accepted")
-	}
-}
-
-// TestIntervalPointMatchesSerial pins the CLI interval path: the
-// functional report block of an interval-parallel run is byte-identical
-// to the serial replay's, with the plan summary appended after it, and
-// a second run against the populated checkpoint cache restores
-// boundaries while printing the same report.
-func TestIntervalPointMatchesSerial(t *testing.T) {
-	cfg := testConfig()
-	dir := t.TempDir()
-	path := filepath.Join(dir, "run.v2")
-	writeV2Trace(t, cfg, path, cfg.WarmupRefs+cfg.Refs, 512)
-
-	serial, err := runFunctionalPoint(cfg, path, "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	printFunctional(&want, cfg, serial)
-
-	cache, err := system.NewWarmCache(filepath.Join(dir, "ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func() string {
-		var out bytes.Buffer
-		if err := runIntervalPoint(&out, cfg, "functional", path, cache, 4, 0, 0, 4, 0); err != nil {
-			t.Fatal(err)
-		}
-		return out.String()
-	}
-	cold, warm := run(), run()
-	for name, got := range map[string]string{"cold": cold, "warm": warm} {
-		if !strings.HasPrefix(got, want.String()) {
-			t.Fatalf("%s interval report does not start with the serial block:\nserial:\n%s\ngot:\n%s", name, want.String(), got)
-		}
-		rest := strings.TrimPrefix(got, want.String())
-		for _, line := range strings.Split(strings.TrimRight(rest, "\n"), "\n") {
-			if !strings.HasPrefix(line, "interval") {
-				t.Fatalf("%s run emitted a non-interval extra line %q", name, line)
-			}
-		}
-	}
-	if !strings.Contains(warm, "restored 4") {
-		t.Fatalf("warm run did not restore every boundary checkpoint:\n%s", warm)
-	}
-}
-
-// TestIntervalStateCacheReportsQuarantine damages every boundary
-// checkpoint an -intervals run stored and reruns it: each entry is
-// quarantined and reported on stderr exactly once, and the report is
-// byte-identical to the cold run's, which stored the same checkpoints.
-func TestIntervalStateCacheReportsQuarantine(t *testing.T) {
-	cfg := testConfig()
-	tmp := t.TempDir()
-	trace := filepath.Join(tmp, "run.v2")
-	writeV2Trace(t, cfg, trace, cfg.WarmupRefs+cfg.Refs, 512)
-	dir := filepath.Join(tmp, "ckpt")
-	args := append(pointArgs("mapreduce", "footprint"), "-trace-in", trace, "-intervals", "4", "-j", "2", "-state-cache", dir)
-
-	cold := fpsimOK(t, args...)
-	entries := cacheEntries(t, dir)
-	if len(entries) == 0 || !strings.Contains(cold, fmt.Sprintf("restored 0 stored %d", len(entries))) {
-		t.Fatalf("cold run stored %d checkpoints:\n%s", len(entries), cold)
-	}
-	for _, e := range entries {
-		b, err := os.ReadFile(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b[3] ^= 1 << 6
-		if err := os.WriteFile(e, b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, errOut, code := fpsim(t, args...)
-	if code != 0 || got != cold {
-		t.Fatalf("damaged checkpoints: exit %d, report differs from the cold run %v\n%s", code, got != cold, errOut)
-	}
-	lines := strings.Split(strings.TrimSpace(errOut), "\n")
-	if len(lines) != len(entries) {
-		t.Fatalf("%d stderr lines for %d damaged checkpoints:\n%s", len(lines), len(entries), errOut)
-	}
-	for _, e := range entries {
-		if n := strings.Count(errOut, e+":"); n != 1 || !strings.Contains(errOut, "quarantined warm state") {
-			t.Errorf("checkpoint %s reported %d times:\n%s", e, n, errOut)
-		}
 	}
 }
 

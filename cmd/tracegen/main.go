@@ -18,18 +18,12 @@
 //	tracegen -workload mapreduce -refs 5000000 -v2 -o mapreduce.trace
 //	tracegen -index mapreduce.trace
 //	tracegen -verify mapreduce.trace
-//	tracegen -stats mapreduce.trace
-//
-// -stats summarizes a trace's chunking (chunk count, records/chunk
-// histogram, bytes/record) — the inputs to picking an interval count
-// for interval-parallel simulation (fpsim -intervals, DESIGN.md §11).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
 	"fpcache"
 	"fpcache/internal/memtrace"
@@ -44,7 +38,6 @@ func main() {
 		v2       = flag.Bool("v2", false, "write trace format v2 (chunked, delta-compressed, seekable)")
 		chunk    = flag.Int("chunk", memtrace.DefaultChunkRecords, "records per v2 chunk")
 		index    = flag.String("index", "", "print the chunk index of an existing trace file and exit")
-		statsIn  = flag.String("stats", "", "print chunking statistics of an existing trace file (chunk count, records/chunk histogram, bytes/record) and exit")
 		verify   = flag.String("verify", "", "verify an existing trace file (chunk CRCs, framing, index) and exit")
 		out      = flag.String("o", "", "output file (required)")
 	)
@@ -58,12 +51,6 @@ func main() {
 	}
 	if *verify != "" {
 		if err := verifyTrace(*verify); err != nil {
-			fail(err)
-		}
-		return
-	}
-	if *statsIn != "" {
-		if err := printStats(*statsIn); err != nil {
 			fail(err)
 		}
 		return
@@ -158,62 +145,6 @@ func printIndex(path string) error {
 	fmt.Printf("%6s %12s %12s %10s\n", "chunk", "offset", "first rec", "records")
 	for i := range offsets {
 		fmt.Printf("%6d %12d %12d %10d\n", i, offsets[i], starts[i], counts[i])
-	}
-	return nil
-}
-
-// printStats reports a trace file's chunking statistics — the numbers
-// that matter when picking interval sizes for interval-parallel runs
-// (DESIGN.md §11): how many chunk-aligned boundaries exist, how evenly
-// records spread over them, and what a record costs on disk.
-func printStats(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	fr, err := memtrace.NewFileReader(f)
-	if err != nil {
-		return err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%s: format v%d\n", path, fr.Version())
-	fmt.Printf("records:        %d\n", fr.Len())
-	fmt.Printf("bytes:          %d", st.Size())
-	if fr.Len() > 0 {
-		fmt.Printf(" (%.2f bytes/record)", float64(st.Size())/float64(fr.Len()))
-	}
-	fmt.Println()
-	_, _, counts := fr.Chunks()
-	if len(counts) == 0 {
-		fmt.Println("chunks:         none (v1 traces have no chunk index; rewrite with -v2 to seek and split)")
-		return nil
-	}
-	min, max, sum := counts[0], counts[0], uint64(0)
-	freq := map[uint64]int{}
-	for _, c := range counts {
-		if c < min {
-			min = c
-		}
-		if c > max {
-			max = c
-		}
-		sum += c
-		freq[c]++
-	}
-	fmt.Printf("chunks:         %d (%.1f records/chunk mean, min %d, max %d)\n",
-		len(counts), float64(sum)/float64(len(counts)), min, max)
-	sizes := make([]uint64, 0, len(freq))
-	for c := range freq {
-		sizes = append(sizes, c)
-	}
-	sort.Slice(sizes, func(i, j int) bool { return sizes[i] < sizes[j] })
-	fmt.Println("records/chunk histogram:")
-	for _, c := range sizes {
-		fmt.Printf("  %8d records x %d chunk(s)\n", c, freq[c])
 	}
 	return nil
 }

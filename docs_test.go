@@ -2,11 +2,13 @@ package fpcache
 
 // Docs hygiene checks, run as part of the ordinary test suite and
 // called out explicitly by the CI docs step: every internal package
-// must carry a package comment, and every Go code block in README.md
-// must actually build against the module — documentation that
-// bit-rots fails the build instead of misleading the next reader.
+// must carry a package comment, every Go code block in README.md must
+// actually build against the module, and every flag a README command
+// line passes must exist — documentation that bit-rots fails the build
+// instead of misleading the next reader.
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
@@ -15,6 +17,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"unicode"
 )
 
 // TestInternalPackageComments walks every package under internal/ (and
@@ -108,5 +111,90 @@ func TestREADMESnippetsBuild(t *testing.T) {
 		if out, err := cmd.CombinedOutput(); err != nil {
 			t.Errorf("README snippet %d does not build:\n%s\n--- snippet ---\n%s", i+1, out, snippet)
 		}
+	}
+}
+
+// readmeCommand matches a README shell line that runs one of the
+// module's commands, capturing the command name and its arguments.
+var readmeCommand = regexp.MustCompile(`^go run \./cmd/([a-z]+)(.*)$`)
+
+// flagDefiners maps the flag package's definers (on flag or a
+// FlagSet) to the position of the flag-name argument.
+var flagDefiners = map[string]int{
+	"Bool": 0, "Int": 0, "Int64": 0, "Uint": 0, "Uint64": 0,
+	"String": 0, "Float64": 0, "Duration": 0, "Func": 0, "TextVar": 1,
+	"BoolVar": 1, "IntVar": 1, "Int64Var": 1, "UintVar": 1, "Uint64Var": 1,
+	"StringVar": 1, "Float64Var": 1, "DurationVar": 1, "Var": 1,
+}
+
+// registeredFlags returns the flag names a command's main.go
+// registers: the string-literal name argument of every flag definer
+// call.
+func registeredFlags(t *testing.T, tool string) map[string]bool {
+	t.Helper()
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, filepath.Join("cmd", tool, "main.go"), nil, 0)
+	if err != nil {
+		t.Fatalf("README runs cmd/%s: %v", tool, err)
+	}
+	names := map[string]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		at, ok := flagDefiners[sel.Sel.Name]
+		if !ok || len(call.Args) <= at {
+			return true
+		}
+		if lit, ok := call.Args[at].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			names[strings.Trim(lit.Value, "`\"")] = true
+		}
+		return true
+	})
+	return names
+}
+
+// TestREADMEFlagsExist checks every README line that runs
+// `go run ./cmd/<tool> …`: each -flag on it must be one that
+// cmd/<tool>/main.go registers, so deleting a flag without updating
+// the README fails here.
+func TestREADMEFlagsExist(t *testing.T) {
+	src, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flags := map[string]map[string]bool{}
+	checked := 0
+	for i, line := range strings.Split(string(src), "\n") {
+		m := readmeCommand.FindStringSubmatch(strings.TrimSpace(line))
+		if m == nil {
+			continue
+		}
+		tool, args := m[1], m[2]
+		if c := strings.Index(args, "#"); c >= 0 {
+			args = args[:c]
+		}
+		if flags[tool] == nil {
+			flags[tool] = registeredFlags(t, tool)
+		}
+		for _, arg := range strings.Fields(args) {
+			name := strings.TrimLeft(arg, "-")
+			if name == arg || name == "" || !unicode.IsLetter(rune(name[0])) {
+				continue // an operand, "-" for stdin, or a negative number
+			}
+			name, _, _ = strings.Cut(name, "=")
+			if !flags[tool][name] {
+				t.Errorf("README.md:%d: cmd/%s registers no flag -%s:\n\t%s", i+1, tool, name, strings.TrimSpace(line))
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("README.md has no `go run ./cmd/<tool>` line with flags; the check matched nothing")
 	}
 }

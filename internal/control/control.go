@@ -9,34 +9,21 @@
 // it keeps no clocks, draws no randomness, and ranges over no maps,
 // so a run that feeds it the same reference stream makes the same
 // decisions — the property the runner parity suite (functional ≡
-// timing, serial ≡ interval-parallel) depends on. Decisions are a
-// hill climb over the split fraction with a deadband (small score
-// changes do not move the split) and a cooldown (a move silences the
-// controller for a few epochs so migration traffic never feeds back
-// into the next decision), bounding resize churn. DESIGN.md §13
-// develops the model.
+// timing) depends on. Decisions are a hill climb over the split
+// fraction with a deadband (small score changes do not move the split)
+// and a cooldown (a move silences the controller for a few epochs so
+// migration traffic never feeds back into the next decision), bounding
+// resize churn. DESIGN.md §13 develops the model.
 //
-// The full decision state — config echo, cumulative baseline, window
-// ring, climb mode — snapshots through internal/snap, either embedded
-// in a warm-state stream (Save/Load) or standalone (Snapshot/Restore),
-// so interval-parallel and warm-cache runs resume mid-flight
-// bit-exactly.
+// A controller is never snapshotted: warm state is captured at the
+// warmup boundary, before the first decision epoch, so a restored run
+// starts from a fresh controller.
 package control
 
 import (
 	"fmt"
 	"math"
-
-	"fpcache/internal/fault"
 )
-
-// corruptf builds a controller-state corruption error carrying the
-// taxonomy sentinel (fault.ErrCorruptSnapshot), so the warm-cache
-// quarantine and the sweep's failure report classify decode failures
-// without matching message strings.
-func corruptf(format string, args ...any) error {
-	return fmt.Errorf("control: "+format+": %w", append(args, fault.ErrCorruptSnapshot)...)
-}
 
 // maxWindow bounds the telemetry ring so a hostile config cannot
 // drive a giant allocation.
@@ -144,7 +131,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Label renders the normalized config as a deterministic string, used
-// to key interval checkpoints and label experiment rows.
+// to label experiment rows.
 func (c Config) Label() string {
 	c = c.withDefaults()
 	return fmt.Sprintf("adaptive:e%d:w%d:db%g:cd%d:st%g:f%g-%g:i%g:bw%g:h%d",

@@ -1,13 +1,8 @@
 package control
 
 import (
-	"bytes"
-	"errors"
 	"math"
 	"testing"
-
-	"fpcache/internal/fault"
-	"fpcache/internal/snap"
 )
 
 // TestConfigDefaults pins the normalization contract: zero fields take
@@ -140,123 +135,5 @@ func TestObserveAllocates(t *testing.T) {
 	})
 	if n != 0 {
 		t.Fatalf("Observe allocates %v per call, want 0", n)
-	}
-}
-
-// TestSnapshotRoundTrip: a controller restored mid-climb must be
-// indistinguishable from the one that was snapshotted — same
-// fractions, same decisions — on any continuation of the telemetry.
-func TestSnapshotRoundTrip(t *testing.T) {
-	cfg := Config{CooldownEpochs: 1, HoldEpochs: 4}
-	a := NewController(cfg)
-	var s Sample
-	feed := func(c *Controller, n int, hit float64) []any {
-		var out []any
-		ss := s
-		for i := 0; i < n; i++ {
-			ss.Refs += 10_000
-			ss.Accesses += 10_000
-			ss.Hits += uint64(hit * 10_000)
-			ss.OffChipBytes += uint64((1 - hit) * 10_000 * 64)
-			f, fire := c.Observe(ss)
-			out = append(out, f, fire)
-		}
-		return out
-	}
-	// Advance to an interesting interior state, then snapshot.
-	for i := 0; i < 9; i++ {
-		s.Refs += 10_000
-		s.Accesses += 10_000
-		s.Hits += uint64((0.4 + 0.4*a.Fraction()) * 10_000)
-		a.Observe(s)
-	}
-	var buf bytes.Buffer
-	if err := a.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	b := NewController(cfg)
-	if err := b.Restore(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if a.Fraction() != b.Fraction() || a.Moves() != b.Moves() || a.Epochs() != b.Epochs() {
-		t.Fatalf("restored state differs: frac %v/%v moves %d/%d epochs %d/%d",
-			a.Fraction(), b.Fraction(), a.Moves(), b.Moves(), a.Epochs(), b.Epochs())
-	}
-	wa := feed(a, 30, 0.8)
-	wb := feed(b, 30, 0.8)
-	for i := range wa {
-		if wa[i] != wb[i] {
-			t.Fatalf("restored controller diverges at output %d: %v vs %v", i, wa[i], wb[i])
-		}
-	}
-}
-
-// TestRestoreRejectsConfigMismatch: a snapshot only restores into the
-// controller shape that wrote it.
-func TestRestoreRejectsConfigMismatch(t *testing.T) {
-	a := NewController(Config{})
-	a.Observe(Sample{Refs: 10_000, Accesses: 10_000, Hits: 5_000})
-	var buf bytes.Buffer
-	if err := a.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	err := NewController(Config{Step: 0.1}).Restore(bytes.NewReader(buf.Bytes()))
-	if err == nil {
-		t.Fatal("restore into a different config succeeded")
-	}
-	if !errors.Is(err, fault.ErrCorruptSnapshot) {
-		t.Fatalf("config-mismatch error %v does not wrap fault.ErrCorruptSnapshot", err)
-	}
-}
-
-// TestLoadLeavesControllerUntouchedOnError: a failed Load must not
-// half-mutate the controller it was restoring into.
-func TestLoadLeavesControllerUntouchedOnError(t *testing.T) {
-	a := NewController(Config{})
-	for i := 1; i <= 6; i++ {
-		a.Observe(Sample{Refs: uint64(i) * 10_000, Accesses: uint64(i) * 10_000, Hits: uint64(i) * 6_000})
-	}
-	var buf bytes.Buffer
-	if err := a.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	b := NewController(Config{})
-	before := *b
-	for cut := 0; cut < buf.Len(); cut += 7 {
-		if err := b.Restore(bytes.NewReader(buf.Bytes()[:cut])); err == nil {
-			t.Fatalf("truncated snapshot (%d bytes) restored without error", cut)
-		}
-		if b.frac != before.frac || b.mode != before.mode || b.epochs != before.epochs ||
-			b.winN != before.winN || b.primed != before.primed {
-			t.Fatalf("failed restore at cut %d mutated the controller", cut)
-		}
-	}
-}
-
-// TestSaveLoadEmbedded covers the embedded (shared-stream) path the
-// warm-state snapshot uses, distinct from the standalone envelope.
-func TestSaveLoadEmbedded(t *testing.T) {
-	a := NewController(Config{})
-	a.Observe(Sample{Refs: 10_000, Accesses: 10_000, Hits: 5_000})
-	var buf bytes.Buffer
-	w := snap.NewWriter(&buf)
-	w.Tag("before")
-	a.Save(w)
-	w.Tag("after")
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	b := NewController(Config{})
-	r := snap.NewReader(bytes.NewReader(buf.Bytes()))
-	r.Expect("before")
-	if err := b.Load(r); err != nil {
-		t.Fatal(err)
-	}
-	r.Expect("after")
-	if err := r.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if b.last != a.last || b.Fraction() != a.Fraction() {
-		t.Fatalf("embedded round trip differs: %+v vs %+v", b.last, a.last)
 	}
 }

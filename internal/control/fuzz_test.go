@@ -3,11 +3,8 @@ package control
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"math"
 	"testing"
-
-	"fpcache/internal/fault"
 )
 
 // fuzzConfig derives a controller config from a fuzz seed. The raw
@@ -97,81 +94,6 @@ func FuzzControllerDecide(f *testing.F) {
 		}
 		if c.Moves() > c.Epochs() {
 			t.Fatalf("%d moves exceed %d scored epochs", c.Moves(), c.Epochs())
-		}
-	})
-}
-
-// fuzzStateController builds the fixed-shape controller the state fuzz
-// target restores into, advanced into an interior climb state.
-func fuzzStateController() *Controller {
-	c := NewController(Config{CooldownEpochs: 1, HoldEpochs: 4})
-	var s Sample
-	for i := 0; i < 7; i++ {
-		s.Refs += 10_000
-		s.Accesses += 10_000
-		s.Hits += uint64((0.4 + 0.4*c.Fraction()) * 10_000)
-		s.OffChipBytes += 3_000 * 64
-		c.Observe(s)
-	}
-	return c
-}
-
-// FuzzReadControllerState feeds arbitrary bytes through the standalone
-// snapshot decoder. The contract: never panic, never over-allocate,
-// and either restore a fully valid state or fail with an error
-// wrapping fault.ErrCorruptSnapshot while leaving the destination
-// controller untouched.
-func FuzzReadControllerState(f *testing.F) {
-	var buf bytes.Buffer
-	if err := fuzzStateController().Snapshot(&buf); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
-	f.Add(append([]byte(nil), valid...))
-	f.Add([]byte{})
-	f.Add([]byte("not a controller snapshot"))
-	for _, cut := range []int{1, 7, len(valid) / 2, len(valid) - 1} {
-		f.Add(append([]byte(nil), valid[:cut]...))
-	}
-	for _, i := range []int{0, 3, 9, 30, len(valid) - 3} {
-		mut := append([]byte(nil), valid...)
-		mut[i] ^= 0x20
-		f.Add(mut)
-	}
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		c := fuzzStateController()
-		before := *c
-		err := c.Restore(bytes.NewReader(data))
-		if err != nil {
-			if !errors.Is(err, fault.ErrCorruptSnapshot) {
-				t.Fatalf("restore error outside the fault taxonomy: %v", err)
-			}
-			if c.frac != before.frac || c.mode != before.mode || c.winN != before.winN ||
-				c.epochs != before.epochs || c.primed != before.primed {
-				t.Fatal("failed restore mutated the controller")
-			}
-			return
-		}
-		// Restores that succeed — the valid snapshot, or flips in value
-		// bytes that still decode to a consistent state — must leave the
-		// controller fully usable: every invariant Load validates holds.
-		n := c.Config()
-		if math.IsNaN(c.Fraction()) || c.Fraction() < n.MinFraction || c.Fraction() > n.MaxFraction {
-			t.Fatalf("restored fraction %v outside [%v,%v]", c.Fraction(), n.MinFraction, n.MaxFraction)
-		}
-		if c.Moves() > c.Epochs() {
-			t.Fatalf("restored state has %d moves > %d epochs", c.Moves(), c.Epochs())
-		}
-		// And it must keep deciding safely.
-		s := c.last
-		for i := 0; i < 8; i++ {
-			s.Refs += 10_000
-			s.Accesses += 10_000
-			s.Hits += 6_000
-			if frac, _ := c.Observe(s); math.IsNaN(frac) || frac < n.MinFraction || frac > n.MaxFraction {
-				t.Fatalf("post-restore decision emitted fraction %v", frac)
-			}
 		}
 	})
 }

@@ -104,21 +104,6 @@ type Stats struct {
 	CoveredBlocks, UnderBlocks, OverBlocks uint64
 }
 
-// Add returns s plus o counter-wise, used to merge per-interval
-// measurements; all fields are monotonic counters, so the sum over
-// intervals equals one uninterrupted measurement exactly.
-func (s Stats) Add(o Stats) Stats {
-	return Stats{
-		UnderpredMisses:   s.UnderpredMisses + o.UnderpredMisses,
-		SingletonBypasses: s.SingletonBypasses + o.SingletonBypasses,
-		STCorrections:     s.STCorrections + o.STCorrections,
-		FHTCold:           s.FHTCold + o.FHTCold,
-		CoveredBlocks:     s.CoveredBlocks + o.CoveredBlocks,
-		UnderBlocks:       s.UnderBlocks + o.UnderBlocks,
-		OverBlocks:        s.OverBlocks + o.OverBlocks,
-	}
-}
-
 // Sub returns s minus o, used to exclude warmup from measurements.
 func (s Stats) Sub(o Stats) Stats {
 	return Stats{

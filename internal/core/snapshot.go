@@ -11,7 +11,7 @@ import (
 // Warm-state serialization for the Footprint predictor structures: the
 // FHT and ST tables (contents, LRU ordering, and counters) plus the
 // policy's accumulated statistics. dcache.Engine embeds this state in
-// its own snapshot through the dcache.PolicyState interface, which is
+// its own snapshot through the dcache.AllocState interface, which is
 // also where the layout's version const lives (dcache.SnapshotVersion);
 // the fplint snapmeta analyzer pins the serialized structs here.
 //
@@ -57,7 +57,7 @@ func (s *ST) Load(r *snap.Reader) error {
 	})
 }
 
-// SaveState implements dcache.PolicyState: the predictor statistics
+// SaveState implements dcache.AllocState: the predictor statistics
 // and both tables.
 func (p *FootprintPolicy) SaveState(w *snap.Writer) {
 	w.Tag("footprint-policy")
@@ -67,7 +67,7 @@ func (p *FootprintPolicy) SaveState(w *snap.Writer) {
 	p.st.Save(w)
 }
 
-// LoadState implements dcache.PolicyState.
+// LoadState implements dcache.AllocState.
 func (p *FootprintPolicy) LoadState(r *snap.Reader) error {
 	r.Expect("footprint-policy")
 	if v := r.String(); r.Err() == nil && v != p.cfg.VariantName() {

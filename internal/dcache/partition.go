@@ -127,24 +127,6 @@ type PartitionStats struct {
 	MemPages, CachePages int64
 }
 
-// Add returns s plus o counter-wise, used to merge per-interval
-// measurements; the current-split fields are carried over from o (the
-// later interval), matching Sub's convention that they report state,
-// not deltas.
-func (s PartitionStats) Add(o PartitionStats) PartitionStats {
-	return PartitionStats{
-		MemHits:        s.MemHits + o.MemHits,
-		Resizes:        s.Resizes + o.Resizes,
-		FlushedClean:   s.FlushedClean + o.FlushedClean,
-		FlushedDirty:   s.FlushedDirty + o.FlushedDirty,
-		MovedPages:     s.MovedPages + o.MovedPages,
-		DisplacedPages: s.DisplacedPages + o.DisplacedPages,
-		PurgedPages:    s.PurgedPages + o.PurgedPages,
-		MemPages:       o.MemPages,
-		CachePages:     o.CachePages,
-	}
-}
-
 // Sub returns s minus o counter-wise, used to exclude warmup from
 // measurements; the current-split fields are carried over from s.
 func (s PartitionStats) Sub(o PartitionStats) PartitionStats {

@@ -82,10 +82,10 @@ func RestoreDesign(r io.Reader, d Design) error {
 	})
 }
 
-// PolicyState is implemented by allocation policies that carry warm
+// AllocState is implemented by allocation policies that carry warm
 // state (the footprint predictor's FHT and ST). Stateless policies
 // simply do not implement it.
-type PolicyState interface {
+type AllocState interface {
 	SaveState(*snap.Writer)
 	LoadState(*snap.Reader) error
 }
@@ -229,7 +229,7 @@ func (e *Engine) SaveState(w *snap.Writer) {
 	w.U64(uint64(e.liveSets))
 	saveCounters(w, &e.ctr)
 	e.tags.Save(w, savePageMeta)
-	if ps, ok := e.alloc.(PolicyState); ok {
+	if ps, ok := e.alloc.(AllocState); ok {
 		w.Bool(true)
 		ps.SaveState(w)
 	} else {
@@ -264,7 +264,7 @@ func (e *Engine) LoadState(r *snap.Reader) error {
 		return err
 	}
 	hasPolicy := r.Bool()
-	ps, ok := e.alloc.(PolicyState)
+	ps, ok := e.alloc.(AllocState)
 	if hasPolicy != ok {
 		return fmt.Errorf("dcache: engine snapshot policy state %v, design policy %q stateful %v: %w",
 			hasPolicy, e.alloc.Name(), ok, fault.ErrCorruptSnapshot)

@@ -258,17 +258,6 @@ func (s Stats) RowHitRatio() float64 {
 // DataBytes returns the total data moved, in bytes.
 func (s Stats) DataBytes() uint64 { return (s.ReadBursts + s.WriteBursts) * 64 }
 
-// Add accumulates other into s.
-func (s *Stats) Add(o Stats) {
-	s.Activates += o.Activates
-	s.ReadBursts += o.ReadBursts
-	s.WriteBursts += o.WriteBursts
-	s.RowHits += o.RowHits
-	s.RowMisses += o.RowMisses
-	s.RowConflict += o.RowConflict
-	s.Refreshes += o.Refreshes
-}
-
 // Sub returns s minus o, used to exclude warmup from measurements.
 func (s Stats) Sub(o Stats) Stats {
 	return Stats{

@@ -40,12 +40,6 @@ type Breakdown struct {
 // TotalPJ returns the summed dynamic energy.
 func (b Breakdown) TotalPJ() float64 { return b.ActPrePJ + b.BurstPJ }
 
-// Add accumulates o into b.
-func (b *Breakdown) Add(o Breakdown) {
-	b.ActPrePJ += o.ActPrePJ
-	b.BurstPJ += o.BurstPJ
-}
-
 // PerInstruction normalizes the breakdown by an instruction count,
 // producing the paper's energy-per-instruction metric.
 func (b Breakdown) PerInstruction(instructions uint64) Breakdown {

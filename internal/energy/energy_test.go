@@ -31,14 +31,6 @@ func TestPerInstruction(t *testing.T) {
 	}
 }
 
-func TestAdd(t *testing.T) {
-	a := Breakdown{ActPrePJ: 1, BurstPJ: 2}
-	a.Add(Breakdown{ActPrePJ: 3, BurstPJ: 4})
-	if a.ActPrePJ != 4 || a.BurstPJ != 6 {
-		t.Fatalf("Add = %+v", a)
-	}
-}
-
 func TestCalibrationProportions(t *testing.T) {
 	// The reproduction's energy story needs two proportions to hold
 	// (DESIGN.md, Figures 10/11):

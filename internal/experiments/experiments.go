@@ -554,9 +554,8 @@ func (o Options) recordQuarantine(workload string, spec system.DesignSpec, q sys
 		class = fault.ClassCorruptSnapshot
 	}
 	// The content-hash prefix disambiguates points that share a
-	// (workload, kind, capacity) label but differ in other spec fields
-	// or, for interval checkpoints, in their start record, keeping the
-	// sorted report deterministic.
+	// (workload, kind, capacity) label but differ in other spec fields,
+	// keeping the sorted report deterministic.
 	o.rec.add(Failure{
 		Point:       fmt.Sprintf("%s/%s/%dMB/%.12s", workload, spec.Kind, spec.PaperCapacityMB, q.Key),
 		Class:       class,
@@ -601,17 +600,15 @@ var registry = map[string]experiment{
 	"latency":     {Latency, rowsOf(LatencyRows)},
 	"partition":   {Partition, rowsOf(PartitionRows)},
 	"adaptive":    {Adaptive, rowsOf(AdaptiveRows)},
-	"intervals":   {Intervals, rowsOf(IntervalRows)},
 }
 
 // order lists experiments in paper order for "run everything"; the
-// design-space cross-product, the latency-distribution study, the
-// partition study, and the interval-parallel study (not in the paper)
-// run last.
+// design-space cross-product, the latency-distribution study, and the
+// partition and adaptive studies (not in the paper) run last.
 var order = []string{
 	"figure1", "table4", "figure4", "figure5", "figure6", "figure7",
 	"figure8", "figure9", "figure10", "figure11", "figure12", "ablation",
-	"designspace", "latency", "partition", "adaptive", "intervals",
+	"designspace", "latency", "partition", "adaptive",
 }
 
 // Names returns the experiment identifiers in paper order.

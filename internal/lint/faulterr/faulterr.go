@@ -32,7 +32,6 @@ var Analyzer = &lint.Analyzer{
 var systemFiles = map[string]bool{
 	"state.go":     true,
 	"warmcache.go": true,
-	"interval.go":  true,
 }
 
 func run(pass *lint.Pass) error {

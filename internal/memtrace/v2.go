@@ -378,7 +378,6 @@ type FileReader struct {
 	total   uint64
 	size    int64  // file size in bytes
 	next    uint64 // index of the record the next Next returns
-	limit   uint64 // Next stops at this record index (total, or a section end)
 	err     error
 
 	// v2 state.
@@ -414,38 +413,7 @@ func NewFileReader(rs io.ReadSeeker) (*FileReader, error) {
 	} else if err := fr.loadIndex(size); err != nil {
 		return nil, err
 	}
-	fr.limit = fr.total
 	return fr, fr.SeekRecord(0)
-}
-
-// OpenSection returns an independent reader over the record range
-// [start, start+n) of the same trace file — the unit of work of the
-// interval-parallel runner. The section shares the parent's decoded
-// chunk index (read-only) but owns its file cursor, buffer, and
-// decoder state, so any number of sections (and the parent) can read
-// concurrently: the underlying reader must implement io.ReaderAt
-// (os.File does; sections read through positioned io.SectionReader
-// views, never the shared seek offset). Len still reports the whole
-// trace; the section's Next exhausts after n records.
-func (fr *FileReader) OpenSection(start, n uint64) (*FileReader, error) {
-	ra, ok := fr.rs.(io.ReaderAt)
-	if !ok {
-		//fplint:ignore faulterr caller API misuse, not trace damage; ClassUnknown (no quarantine) is right
-		return nil, fmt.Errorf("memtrace: trace reader %T is not an io.ReaderAt; concurrent sections need random access", fr.rs)
-	}
-	if start > fr.total || n > fr.total-start {
-		return nil, corruptf("section [%d, %d) outside trace of %d records", start, start+n, fr.total)
-	}
-	sub := &FileReader{
-		rs:      io.NewSectionReader(ra, 0, fr.size),
-		version: fr.version,
-		total:   fr.total,
-		size:    fr.size,
-		limit:   start + n,
-		chunks:  fr.chunks,
-	}
-	sub.br = bufio.NewReaderSize(sub.rs, 1<<16)
-	return sub, sub.SeekRecord(start)
 }
 
 // loadIndex locates and decodes the v2 chunk index from the footer.
@@ -533,11 +501,11 @@ func (fr *FileReader) Chunks() (offsets, starts, counts []uint64) {
 }
 
 // TraceID returns a stable content identifier for the trace — the
-// SHA-256 of the file bytes, "sha256:"-prefixed. Interval checkpoints
-// embed it in their warm-cache keys and snapshot metadata, so a
-// checkpoint of one trace can never continue a run over different
-// content. It reads the whole file once through the io.ReaderAt face
-// (required for sections anyway), leaving the reader's cursor alone.
+// SHA-256 of the file bytes, "sha256:"-prefixed. Warm states warmed
+// on a trace embed it in their warm-cache keys and snapshot metadata,
+// so a state warmed on one trace can never continue a run over
+// different content. It reads the whole file once through the
+// io.ReaderAt face, leaving the reader's cursor alone.
 func (fr *FileReader) TraceID() (string, error) {
 	ra, ok := fr.rs.(io.ReaderAt)
 	if !ok {
@@ -691,7 +659,7 @@ func (fr *FileReader) SkipRecords(n int) (int, error) {
 		return 0, fr.err
 	}
 	k := uint64(n)
-	if left := fr.limit - fr.next; k > left {
+	if left := fr.total - fr.next; k > left {
 		k = left
 	}
 	if err := fr.SeekRecord(fr.next + k); err != nil {
@@ -703,7 +671,7 @@ func (fr *FileReader) SkipRecords(n int) (int, error) {
 
 // Next implements Source.
 func (fr *FileReader) Next() (Record, bool) {
-	if fr.err != nil || fr.next >= fr.limit {
+	if fr.err != nil || fr.next >= fr.total {
 		return Record{}, false
 	}
 	if fr.version == version1 {

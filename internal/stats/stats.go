@@ -1,6 +1,6 @@
 // Package stats provides small statistical helpers used across the
-// simulator: streaming means, histograms, geometric means, confidence
-// intervals, and fixed-width table rendering for the bench harness.
+// simulator: histograms, geometric means, and fixed-width table
+// rendering for the bench harness.
 package stats
 
 import (
@@ -8,50 +8,6 @@ import (
 	"math"
 	"strings"
 )
-
-// Mean is a streaming arithmetic mean with variance tracking
-// (Welford's algorithm). The zero value is ready to use.
-type Mean struct {
-	n    int64
-	mean float64
-	m2   float64
-}
-
-// Add folds one observation into the mean.
-func (m *Mean) Add(x float64) {
-	m.n++
-	d := x - m.mean
-	m.mean += d / float64(m.n)
-	m.m2 += d * (x - m.mean)
-}
-
-// N returns the number of observations.
-func (m *Mean) N() int64 { return m.n }
-
-// Value returns the arithmetic mean, or 0 with no observations.
-func (m *Mean) Value() float64 { return m.mean }
-
-// Variance returns the sample variance, or 0 with fewer than two
-// observations.
-func (m *Mean) Variance() float64 {
-	if m.n < 2 {
-		return 0
-	}
-	return m.m2 / float64(m.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (m *Mean) StdDev() float64 { return math.Sqrt(m.Variance()) }
-
-// CI95 returns the half-width of the 95% confidence interval of the
-// mean under a normal approximation (the paper reports measurements at
-// a 95% confidence level, §5.4).
-func (m *Mean) CI95() float64 {
-	if m.n < 2 {
-		return 0
-	}
-	return 1.96 * m.StdDev() / math.Sqrt(float64(m.n))
-}
 
 // GeoMean returns the geometric mean of xs. Non-positive inputs are an
 // error in this domain (ratios and speedups), so they panic loudly
@@ -123,34 +79,6 @@ func (h *Histogram) Add(x int64) {
 
 // Total returns the number of observations.
 func (h *Histogram) Total() int64 { return h.total }
-
-// Merge folds o's observations into h. Both histograms must share the
-// same bucket bounds — merging across geometries would silently
-// misattribute counts. Merging is exact: counts are integers, so a
-// histogram assembled from per-interval merges is bit-identical to one
-// that saw every observation directly, in any merge order (the
-// interval-parallel runner's determinism rests on this; the property
-// test in stats_test.go pins associativity and order independence).
-// A nil o is a no-op.
-func (h *Histogram) Merge(o *Histogram) error {
-	if o == nil {
-		return nil
-	}
-	if len(h.Bounds) != len(o.Bounds) {
-		return fmt.Errorf("stats: merging histograms with %d and %d bounds", len(h.Bounds), len(o.Bounds))
-	}
-	for i := range h.Bounds {
-		if h.Bounds[i] != o.Bounds[i] {
-			return fmt.Errorf("stats: merging histograms with mismatched bound %d (%d vs %d)", i, h.Bounds[i], o.Bounds[i])
-		}
-	}
-	for i := range h.Counts {
-		h.Counts[i] += o.Counts[i]
-	}
-	h.Overflow += o.Overflow
-	h.total += o.total
-	return nil
-}
 
 // Percentile returns the value below which fraction p (in [0, 1]) of
 // the observations fall, linearly interpolated within the containing

@@ -9,67 +9,6 @@ import (
 	"testing/quick"
 )
 
-func TestMeanBasics(t *testing.T) {
-	var m Mean
-	if m.Value() != 0 || m.N() != 0 {
-		t.Fatal("zero Mean not zero")
-	}
-	for _, x := range []float64{1, 2, 3, 4, 5} {
-		m.Add(x)
-	}
-	if m.N() != 5 {
-		t.Fatalf("N = %d", m.N())
-	}
-	if math.Abs(m.Value()-3) > 1e-12 {
-		t.Fatalf("mean = %g, want 3", m.Value())
-	}
-	if math.Abs(m.Variance()-2.5) > 1e-12 {
-		t.Fatalf("variance = %g, want 2.5", m.Variance())
-	}
-}
-
-func TestMeanMatchesNaive(t *testing.T) {
-	f := func(xs []float64) bool {
-		for _, x := range xs {
-			if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e9 {
-				return true // skip pathological inputs
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		var m Mean
-		sum := 0.0
-		for _, x := range xs {
-			m.Add(x)
-			sum += x
-		}
-		naive := sum / float64(len(xs))
-		return math.Abs(m.Value()-naive) < 1e-6*(1+math.Abs(naive))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCI95ShrinksWithSamples(t *testing.T) {
-	var small, large Mean
-	for i := 0; i < 10; i++ {
-		small.Add(float64(i % 3))
-	}
-	for i := 0; i < 1000; i++ {
-		large.Add(float64(i % 3))
-	}
-	if large.CI95() >= small.CI95() {
-		t.Fatalf("CI95 did not shrink: %g vs %g", large.CI95(), small.CI95())
-	}
-	var single Mean
-	single.Add(1)
-	if single.CI95() != 0 {
-		t.Fatal("CI95 of one sample should be 0")
-	}
-}
-
 func TestGeoMean(t *testing.T) {
 	if g := GeoMean([]float64{2, 8}); math.Abs(g-4) > 1e-12 {
 		t.Fatalf("GeoMean(2,8) = %g, want 4", g)
@@ -296,112 +235,5 @@ func TestLogBounds(t *testing.T) {
 	// Roughly 8 bounds per octave: 16 octaves -> ~128 bounds.
 	if len(b) < 100 || len(b) > 140 {
 		t.Fatalf("unexpected bound count %d", len(b))
-	}
-}
-
-// TestHistogramMergeExact is the exactness property behind the
-// interval-parallel merge: splitting an observation stream into
-// arbitrary consecutive intervals, bucketing each interval into its
-// own histogram, and merging must reproduce the serial histogram —
-// counts, overflow, total, and interpolated P50/P90/P99 — bit for
-// bit, whatever the split and whatever the merge order.
-func TestHistogramMergeExact(t *testing.T) {
-	bounds := LatencyBounds()
-	f := func(raw []uint32, cuts []uint8) bool {
-		// Serial reference: every observation into one histogram.
-		serial := NewHistogram(bounds...)
-		for _, x := range raw {
-			serial.Add(int64(x))
-		}
-		// Split raw at pseudo-random cut points into intervals.
-		var parts []*Histogram
-		start := 0
-		for _, c := range cuts {
-			end := start + int(c)%(len(raw)-start+1)
-			h := NewHistogram(bounds...)
-			for _, x := range raw[start:end] {
-				h.Add(int64(x))
-			}
-			parts = append(parts, h)
-			start = end
-		}
-		last := NewHistogram(bounds...)
-		for _, x := range raw[start:] {
-			last.Add(int64(x))
-		}
-		parts = append(parts, last)
-
-		// Merge in reverse order to show order independence.
-		merged := NewHistogram(bounds...)
-		for i := len(parts) - 1; i >= 0; i-- {
-			if err := merged.Merge(parts[i]); err != nil {
-				t.Fatalf("merge: %v", err)
-			}
-		}
-		if merged.Total() != serial.Total() || merged.Overflow != serial.Overflow {
-			return false
-		}
-		for i := range merged.Counts {
-			if merged.Counts[i] != serial.Counts[i] {
-				return false
-			}
-		}
-		for _, p := range []float64{0.50, 0.90, 0.99} {
-			// Bit-for-bit: same counts feed the same interpolation.
-			if merged.Percentile(p) != serial.Percentile(p) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestHistogramMergeAssociative pins ((a+b)+c) == (a+(b+c)).
-func TestHistogramMergeAssociative(t *testing.T) {
-	mk := func(xs ...int64) *Histogram {
-		h := NewHistogram(10, 100, 1000)
-		for _, x := range xs {
-			h.Add(x)
-		}
-		return h
-	}
-	a, b, c := mk(5, 2000), mk(50, 500), mk(1, 999, 10000)
-	left := mk()
-	if err := left.Merge(a); err != nil {
-		t.Fatal(err)
-	}
-	left.Merge(b)
-	left.Merge(c)
-	bc := mk()
-	bc.Merge(b)
-	bc.Merge(c)
-	right := mk()
-	right.Merge(a)
-	right.Merge(bc)
-	if left.Total() != right.Total() || left.Overflow != right.Overflow {
-		t.Fatalf("associativity: totals %d/%d overflow %d/%d", left.Total(), right.Total(), left.Overflow, right.Overflow)
-	}
-	for i := range left.Counts {
-		if left.Counts[i] != right.Counts[i] {
-			t.Fatalf("associativity: bucket %d %d != %d", i, left.Counts[i], right.Counts[i])
-		}
-	}
-}
-
-// TestHistogramMergeRejectsMismatch: merging across different bucket
-// geometries must fail loudly, not misattribute counts.
-func TestHistogramMergeRejectsMismatch(t *testing.T) {
-	a := NewHistogram(10, 20)
-	if err := a.Merge(NewHistogram(10, 30)); err == nil {
-		t.Fatal("merge across mismatched bounds succeeded")
-	}
-	if err := a.Merge(NewHistogram(10, 20, 30)); err == nil {
-		t.Fatal("merge across different bound counts succeeded")
-	}
-	if err := a.Merge(nil); err != nil {
-		t.Fatalf("nil merge: %v", err)
 	}
 }

@@ -3,7 +3,6 @@ package system
 import (
 	"bytes"
 	"encoding/json"
-	"runtime"
 	"testing"
 
 	"fpcache/internal/control"
@@ -16,9 +15,8 @@ import (
 // repo pins for static resize schedules to the online controller: the
 // controller is a pure function of the telemetry sequence, and
 // telemetry is sampled at the same measured-reference boundaries in
-// every runner, so functional, timing, interval-parallel, and
-// snapshot-interrupted runs must all make the same decisions at the
-// same references.
+// every runner, so functional, timing, and snapshot-restored runs must
+// all make the same decisions at the same references.
 
 // adaptiveTestConfig is a controller tuned to act within a few
 // thousand references: tiny epochs, short hold, one-epoch cooldown.
@@ -84,19 +82,18 @@ func TestAdaptiveTimingMatchesFunctional(t *testing.T) {
 	}
 }
 
-// TestAdaptiveSnapshotMidEpochParity pins checkpoint transparency for
-// the controller: interrupting a measured run in the middle of an
-// epoch — snapshotting the state (including the controller's window
-// ring and climb registers), restoring into a fresh design, and
-// finishing — must merge to the uninterrupted run's result byte for
-// byte.
-func TestAdaptiveSnapshotMidEpochParity(t *testing.T) {
+// TestAdaptiveSnapshotWarmupParity pins checkpoint transparency for
+// the controller on the path the warm cache takes: warming, taking a
+// snapshot at the warmup boundary, restoring it into a fresh design
+// with a fresh controller, and measuring must reproduce the
+// uninterrupted adaptive run byte for byte. The snapshot carries no
+// controller state: every controller is unprimed at the warmup
+// boundary, so a fresh one is the state it would restore.
+func TestAdaptiveSnapshotWarmupParity(t *testing.T) {
 	const (
 		scale  = 1.0 / 64
 		warmup = 4_000
 		refs   = 12_000
-		// cut lands mid-epoch: not a multiple of EpochRefs (1000).
-		cut = 6_500
 	)
 	spec := adaptiveTestSpec(scale)
 
@@ -118,14 +115,12 @@ func TestAdaptiveSnapshotMidEpochParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := NewSimState(d1)
-	first.SetPolicy(NewAdaptivePolicy(adaptiveTestConfig()))
-	if err := first.Warm(snapTrace(t, scale), warmup); err != nil {
+	warmed := NewSimState(d1)
+	if err := warmed.Warm(snapTrace(t, scale), warmup); err != nil {
 		t.Fatal(err)
 	}
-	r1 := mustFunctional(first.Measure(snapTraceAt(t, scale, warmup), cut))
 	var buf bytes.Buffer
-	if err := first.Snapshot(&buf, snapMeta(warmup)); err != nil {
+	if err := warmed.Snapshot(&buf, snapMeta(warmup)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -133,56 +128,15 @@ func TestAdaptiveSnapshotMidEpochParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	second := NewSimState(d2)
-	second.SetPolicy(NewAdaptivePolicy(adaptiveTestConfig()))
-	if err := second.Restore(bytes.NewReader(buf.Bytes()), snapMeta(warmup)); err != nil {
+	restored := NewSimState(d2)
+	if err := restored.Restore(bytes.NewReader(buf.Bytes()), snapMeta(warmup)); err != nil {
 		t.Fatal(err)
 	}
-	r2 := mustFunctional(second.MeasureFrom(snapTraceAt(t, scale, warmup+cut), refs-cut, cut))
+	restored.SetPolicy(NewAdaptivePolicy(adaptiveTestConfig()))
+	got := mustFunctional(restored.Measure(snapTraceAt(t, scale, warmup), refs))
 
-	merged := MergeFunctional([]FunctionalResult{r1, r2})
-	wantJSON, _ := json.Marshal(want)
-	gotJSON, _ := json.Marshal(merged)
-	if !bytes.Equal(wantJSON, gotJSON) {
-		t.Fatalf("mid-epoch interrupted run diverges\nuninterrupted: %s\nmerged:        %s", wantJSON, gotJSON)
-	}
-}
-
-// TestAdaptiveIntervalParity pins the interval-parallel contract under
-// the controller: the merged result equals the serial adaptive run at
-// every worker count, including the applied resize count.
-func TestAdaptiveIntervalParity(t *testing.T) {
-	const (
-		scale  = 1.0 / 64
-		warmup = 2_000
-		refs   = 12_000
-	)
-	spec := adaptiveTestSpec(scale)
-	cfg := adaptiveTestConfig()
-	tr := intervalTrace(t, synth.WebSearch, 11, scale, refs, 256)
-
-	d, err := BuildDesign(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serialSrc := intervalTrace(t, synth.WebSearch, 11, scale, refs, 256)
-	serial := mustFunctional(RunFunctionalResized(d, serialSrc, warmup, 0, NewAdaptivePolicy(cfg)))
-	if serial.Partition == nil || serial.Partition.Resizes == 0 {
-		t.Fatalf("serial adaptive reference applied no resizes: %+v", serial.Partition)
-	}
-	want := testutil.AsJSON(t, serial)
-
-	for _, workers := range []int{1, 4, runtime.NumCPU()} {
-		rep, err := RunIntervals(tr, IntervalOptions{
-			Spec: spec, Workload: synth.WebSearch, Seed: 11, Scale: scale,
-			WarmupRefs: warmup, Intervals: 5, Workers: workers, Adaptive: &cfg,
-		})
-		if err != nil {
-			t.Fatalf("j%d: %v", workers, err)
-		}
-		if got := testutil.AsJSON(t, rep.Functional); got != want {
-			t.Fatalf("j%d: adaptive merged result diverges from serial\nserial: %s\nmerged: %s", workers, want, got)
-		}
+	if w, g := testutil.AsJSON(t, want), testutil.AsJSON(t, got); w != g {
+		t.Fatalf("restored adaptive run diverges\nuninterrupted: %s\nrestored:      %s", w, g)
 	}
 }
 

@@ -103,7 +103,7 @@ func TestFeedGate(t *testing.T) {
 		t.Errorf("%d running steppers at GOMAXPROCS %d still pipeline", procs, procs)
 	}
 	withFeed(t, 1)
-	st := newStepper(&dcache.Baseline{}, testutil.RandomTrace(10, 1, 1), 5, nil, 0, nil)
+	st := newStepper(&dcache.Baseline{}, testutil.RandomTrace(10, 1, 1), 5, nil, nil)
 	if st.feed == nil {
 		t.Error("forced-on hook left a stepper without its feed")
 	}

@@ -7,26 +7,20 @@ package system
 // sees the design's cumulative telemetry and answers with the split
 // to run at. Keeping the boundary arithmetic and the telemetry
 // trace-ordered is what lets an adaptive timing run stay
-// byte-identical to its functional counterpart, and an
-// interval-parallel run to its serial one.
+// byte-identical to its functional counterpart.
 
 import (
-	"fmt"
-
 	"fpcache/internal/control"
 	"fpcache/internal/dcache"
-	"fpcache/internal/snap"
 )
 
 // Telemetry is the trace-ordered, cumulative view of a run a
 // ResizePolicy decides from. Every field is a running total over the
 // design's lifetime (warmup included): policies difference
-// consecutive readings themselves, which keeps the reading
-// position-independent — a policy restored mid-run continues from its
-// snapshotted baseline.
+// consecutive readings themselves.
 type Telemetry struct {
-	// Refs is the absolute measured-reference position of the reading
-	// (warmup excluded; interval segments continue the count).
+	// Refs is the measured-reference position of the reading (warmup
+	// excluded).
 	Refs uint64
 	// Counters is the design's cumulative counter block.
 	Counters dcache.Counters
@@ -45,19 +39,9 @@ type Telemetry struct {
 //
 // Implementations must be deterministic pure functions of the epoch
 // sequence and telemetry they observe: no clocks, no randomness.
-// Stateful policies additionally implement PolicyState so warm-state
-// snapshots capture them.
 type ResizePolicy interface {
 	Period() int
 	Decide(epoch int, t Telemetry) (frac float64, fire bool)
-}
-
-// PolicyState is implemented by stateful policies (the adaptive
-// controller); SimState snapshots embed it so interval and warm-cache
-// runs restore the policy mid-flight.
-type PolicyState interface {
-	SaveState(*snap.Writer)
-	LoadState(*snap.Reader) error
 }
 
 // Period implements ResizePolicy. It is nil-receiver-safe so a
@@ -86,23 +70,6 @@ func policyPeriod(pol ResizePolicy) int {
 	return pol.Period()
 }
 
-// policyLabel renders a policy as a deterministic string for
-// checkpoint keys and run labels; empty for nil/disabled policies.
-// Static plans keep the historical "resize=<period>@<fractions>"
-// rendering the interval checkpoint keys already use.
-func policyLabel(pol ResizePolicy) string {
-	if policyPeriod(pol) <= 0 {
-		return ""
-	}
-	switch p := pol.(type) {
-	case *ResizePlan:
-		return fmt.Sprintf("resize=%d@%v", p.PeriodRefs, p.Fractions)
-	case interface{ Label() string }:
-		return p.Label()
-	}
-	return fmt.Sprintf("policy=%T@%d", pol, pol.Period())
-}
-
 // telemetryOf assembles the cumulative telemetry reading at measured
 // reference refs. part is the design's partition-statistics accessor
 // (nil for unpartitioned designs), hoisted by the caller so boundary
@@ -119,9 +86,7 @@ func telemetryOf(design dcache.Design, part func() dcache.PartitionStats, refs u
 // interface: every epoch it converts the runner's cumulative
 // telemetry into a control.Sample — the off-chip traffic proxy is 64
 // bytes per miss and per dirty eviction, cumulative by construction —
-// and lets the controller's hill climb decide. It implements
-// PolicyState, so warm-state snapshots carry the controller's window
-// and climb registers.
+// and lets the controller's hill climb decide.
 type AdaptivePolicy struct {
 	ctl *control.Controller
 }
@@ -148,13 +113,3 @@ func (a *AdaptivePolicy) Decide(_ int, t Telemetry) (float64, bool) {
 		OffChipBytes: 64 * (t.Counters.Misses + t.Counters.DirtyEvicts),
 	})
 }
-
-// Label renders the controller config deterministically (checkpoint
-// keys, experiment rows).
-func (a *AdaptivePolicy) Label() string { return a.ctl.Config().Label() }
-
-// SaveState implements PolicyState.
-func (a *AdaptivePolicy) SaveState(w *snap.Writer) { a.ctl.Save(w) }
-
-// LoadState implements PolicyState.
-func (a *AdaptivePolicy) LoadState(r *snap.Reader) error { return a.ctl.Load(r) }

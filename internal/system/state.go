@@ -45,22 +45,23 @@ const warmStateKind = "fpcache-warmstate"
 // warmStateVersion versions the warm-state envelope layout — the run
 // identity fields wrapped around the design payload — independently of
 // dcache.SnapshotVersion, which versions the design-state layout
-// itself. Version 2 added interval identity (TraceID, AtRecord) so
-// interval checkpoints of a trace can never be mistaken for whole-run
-// warmup snapshots; version 3 appended the resize policy state
-// section (the adaptive controller's window and climb registers);
-// version 4 marks the DRAM tracker gaining its precomputed address
-// decoder, which changed its carrier fingerprint but not its bytes;
-// version 5 marks the warm cache's files gaining a CRC-32C trailer
-// (WarmCache.Store), so entries written without one miss instead of
-// quarantining. Bumping either version invalidates old entries cleanly: the content
-// key misses and the envelope check rejects.
+// itself. Version 2 added trace identity (TraceID) so a state warmed
+// on one recorded stream can never continue another; version 3
+// appended a resize policy state section; version 4 marks the DRAM
+// tracker gaining its precomputed address decoder, which changed its
+// carrier fingerprint but not its bytes; version 5 marks the warm
+// cache's files gaining a CRC-32C trailer (WarmCache.Store), so
+// entries written without one miss instead of quarantining; version 6
+// drops the policy section and the capture-record field, which only
+// mid-run checkpoints set. Bumping either version invalidates old
+// entries cleanly: the content key misses and the envelope check
+// rejects.
 // The fplint snapmeta analyzer pins the serialized structs' field
 // layout to the fingerprint below; if it fires, update the codec, bump
 // this const, and refresh the directive.
 //
-//fplint:snapfields 0x3450f9ed
-const warmStateVersion = 5
+//fplint:snapfields 0xfbd84dcd
+const warmStateVersion = 6
 
 // NewSimState builds the functional run state for a design, with DRAM
 // trackers configured per the design's policies.
@@ -76,24 +77,21 @@ func NewSimState(design dcache.Design) *SimState {
 // Design returns the wrapped design.
 func (s *SimState) Design() dcache.Design { return s.design }
 
-// SetPolicy installs the partition resize policy Measure drives.
-// Install it before any Snapshot/Restore: stateful policies
-// (PolicyState) are part of the warm state.
+// SetPolicy installs the partition resize policy Measure drives. A
+// snapshot never carries the policy: it captures the warmup boundary,
+// where every policy is still in its initial state.
 func (s *SimState) SetPolicy(pol ResizePolicy) { s.pol = pol }
-
-// Policy returns the installed resize policy (nil when none).
-func (s *SimState) Policy() ResizePolicy { return s.pol }
 
 // run steps up to n records (n <= 0 drains the source) through the
 // design, replaying each outcome's ops and then any resize
-// transition's ops into the trackers. pol and startRefs set the
-// stepper's epoch schedule. Returns the instruction count, the number
-// of records stepped, and a typed error (fault.ErrInvalidOps) if the
-// design emitted a structurally invalid op list — the run stops at the
+// transition's ops into the trackers. pol sets the stepper's epoch
+// schedule. Returns the instruction count, the number of records
+// stepped, and a typed error (fault.ErrInvalidOps) if the design
+// emitted a structurally invalid op list — the run stops at the
 // offending reference so one bad composition fails one sweep point,
 // never the process.
-func (s *SimState) run(src memtrace.Source, n int, pol ResizePolicy, startRefs uint64) (instrs, steps uint64, err error) {
-	st := newStepper(s.design, src, n, pol, startRefs, s.ops)
+func (s *SimState) run(src memtrace.Source, n int, pol ResizePolicy) (instrs, steps uint64, err error) {
+	st := newStepper(s.design, src, n, pol, s.ops)
 	defer st.close()
 	for st.next() {
 		applyOps(st.out.Ops, s.offT, s.stkT)
@@ -102,7 +100,7 @@ func (s *SimState) run(src memtrace.Source, n int, pol ResizePolicy, startRefs u
 		}
 	}
 	s.ops = st.out.Ops
-	return st.instrs, st.pos - startRefs, st.err
+	return st.instrs, st.pos, st.err
 }
 
 // Warm replays n records through the design and trackers without
@@ -119,7 +117,7 @@ func (s *SimState) warm(src memtrace.Source, n int) (int, error) {
 	if n <= 0 {
 		return 0, nil
 	}
-	_, steps, err := s.run(src, n, nil, 0)
+	_, steps, err := s.run(src, n, nil)
 	return int(steps), err
 }
 
@@ -132,15 +130,6 @@ func (s *SimState) warm(src memtrace.Source, n int) (int, error) {
 // list; the partial result accompanies it for diagnostics but must not
 // be reported as a measurement.
 func (s *SimState) Measure(src memtrace.Source, maxRefs int) (FunctionalResult, error) {
-	return s.MeasureFrom(src, maxRefs, 0)
-}
-
-// MeasureFrom is Measure for a state that is already measuredBefore
-// references into its measurement phase: the epoch schedule continues
-// from that point, so an interval resumed mid-run hits the same
-// absolute boundaries — and a restored stateful policy makes the same
-// decisions — as the serial run it is a slice of.
-func (s *SimState) MeasureFrom(src memtrace.Source, maxRefs int, measuredBefore uint64) (FunctionalResult, error) {
 	ctr0 := s.design.Counters()
 	off0, stk0 := s.offT.Stats, s.stkT.Stats
 	extra := footprintExtra(s.design)
@@ -155,7 +144,7 @@ func (s *SimState) MeasureFrom(src memtrace.Source, maxRefs int, measuredBefore 
 	}
 
 	res := FunctionalResult{Design: s.design.Name()}
-	instrs, _, err := s.run(src, maxRefs, s.pol, measuredBefore)
+	instrs, _, err := s.run(src, maxRefs, s.pol)
 	res.Instructions = instrs
 	res.Counters = s.design.Counters().Sub(ctr0)
 	res.Refs = res.Counters.Accesses()
@@ -188,19 +177,15 @@ type SnapshotMeta struct {
 	// WarmupRefs is the warmup prefix length the state consumed.
 	WarmupRefs int
 	// TraceID names the trace content a state was captured from (the
-	// trace file's content hash), and AtRecord is the absolute record
-	// index it was captured at. Both are zero for generator warmup
+	// trace file's content hash). It is empty for generator warmup
 	// snapshots, so a state warmed on one stream can never silently
 	// continue another.
-	TraceID  string
-	AtRecord uint64
+	TraceID string
 }
 
 // Snapshot serializes the complete warm state — run identity, design,
-// DRAM trackers, and (when the installed policy is stateful) the
-// resize policy's decision state — as one versioned envelope. The
-// design must support snapshots (every design BuildDesign produces
-// does).
+// and DRAM trackers — as one versioned envelope. The design must
+// support snapshots (every design BuildDesign produces does).
 func (s *SimState) Snapshot(w io.Writer, meta SnapshotMeta) error {
 	ds, ok := s.design.(dcache.DesignState)
 	if !ok {
@@ -214,15 +199,9 @@ func (s *SimState) Snapshot(w io.Writer, meta SnapshotMeta) error {
 		sw.U64(math.Float64bits(meta.Scale))
 		sw.I64(int64(meta.WarmupRefs))
 		sw.String(meta.TraceID)
-		sw.U64(meta.AtRecord)
 		ds.SaveState(sw)
 		s.offT.Save(sw)
 		s.stkT.Save(sw)
-		ps, _ := s.pol.(PolicyState)
-		sw.Bool(ps != nil)
-		if ps != nil {
-			ps.SaveState(sw)
-		}
 	})
 }
 
@@ -245,7 +224,6 @@ func (s *SimState) Restore(r io.Reader, want SnapshotMeta) error {
 		got.Scale = math.Float64frombits(sr.U64())
 		got.WarmupRefs = int(sr.I64())
 		got.TraceID = sr.String()
-		got.AtRecord = sr.U64()
 		if sr.Err() == nil && got != want {
 			return fmt.Errorf("system: snapshot of run %+v, want %+v: %w", got, want, fault.ErrCorruptSnapshot)
 		}
@@ -255,24 +233,6 @@ func (s *SimState) Restore(r io.Reader, want SnapshotMeta) error {
 		if err := s.offT.Load(sr); err != nil {
 			return err
 		}
-		if err := s.stkT.Load(sr); err != nil {
-			return err
-		}
-		// Policy-state presence may legitimately differ from the
-		// installed policy at the warmup boundary, where every stateful
-		// policy is still unprimed (≡ fresh): the shared warm cache keys
-		// warmup states by (spec, workload) only, so an adaptive run may
-		// restore a snapshot a plain run stored and vice versa. A saved
-		// section without an installed stateful policy is trailing data
-		// we ignore; a missing section leaves the fresh policy as built.
-		// Mid-measurement checkpoints never hit either case — interval
-		// keys fold the policy label, so they only restore into runs of
-		// the same policy.
-		if hasPol := sr.Bool(); hasPol {
-			if ps, ok := s.pol.(PolicyState); ok {
-				return ps.LoadState(sr)
-			}
-		}
-		return sr.Err()
+		return s.stkT.Load(sr)
 	})
 }

@@ -25,7 +25,7 @@ type stepper struct {
 	feed   *feed
 	design dcache.Design
 	// left is the record budget (math.MaxUint64 drains the source);
-	// pos the absolute measured position, start offset included.
+	// pos the number of records stepped.
 	left, pos uint64
 	instrs    uint64
 	validated int
@@ -49,13 +49,10 @@ type stepper struct {
 }
 
 // newStepper steps up to n records of src (n <= 0 drains it) through
-// design with Access scratch ops. startRefs is the measured position
-// the run resumes at, so an interval hits the same absolute epoch
-// boundaries as the serial run it is a slice of. Resizing is on only
-// for a Resizable design under an enabled policy. The caller must
-// close the stepper.
-func newStepper(design dcache.Design, src memtrace.Source, n int, pol ResizePolicy, startRefs uint64, ops []dcache.Op) stepper {
-	s := stepper{src: src, design: design, left: math.MaxUint64, pos: startRefs, out: dcache.Outcome{Ops: ops}}
+// design with Access scratch ops. Resizing is on only for a Resizable
+// design under an enabled policy. The caller must close the stepper.
+func newStepper(design dcache.Design, src memtrace.Source, n int, pol ResizePolicy, ops []dcache.Op) stepper {
+	s := stepper{src: src, design: design, left: math.MaxUint64, out: dcache.Outcome{Ops: ops}}
 	if n > 0 {
 		s.left = uint64(n)
 	}

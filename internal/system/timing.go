@@ -38,11 +38,6 @@ type TimingConfig struct {
 	// background traffic at the cycle the boundary reference is
 	// drained.
 	Resize ResizePolicy
-	// ResizeStartRefs offsets the resize schedule: a run resuming at
-	// measured reference N of a longer trace fires resizes at the same
-	// absolute boundaries, with the same fractions, as the serial run
-	// it is a slice of (the interval-parallel runner's contract).
-	ResizeStartRefs uint64
 }
 
 // TimingResult summarizes a timing run.
@@ -344,7 +339,7 @@ func RunTiming(design dcache.Design, src memtrace.Source, cfg TimingConfig) (Tim
 		},
 	}
 	dm := &demux{
-		st:     newStepper(design, src, cfg.MaxRefs, cfg.Resize, cfg.ResizeStartRefs, ops),
+		st:     newStepper(design, src, cfg.MaxRefs, cfg.Resize, ops),
 		queues: make([]coreQueue, cfg.Cores),
 		// Resize traffic is pure background: nothing gates on it, and
 		// its record returns to the pool when the last op lands.
@@ -409,7 +404,7 @@ func warmTiming(design dcache.Design, src memtrace.Source, n int) ([]dcache.Op, 
 	if n <= 0 {
 		return nil, nil
 	}
-	st := newStepper(design, src, n, nil, 0, nil)
+	st := newStepper(design, src, n, nil, nil)
 	defer st.close()
 	for st.next() {
 	}

@@ -97,16 +97,12 @@ type WarmKey struct {
 	Scale    float64
 	// WarmupRefs is the warmup prefix length.
 	WarmupRefs int
-	// TraceID and AtRecord identify a state captured from a trace
-	// file: the file's content hash and the absolute record index the
-	// state was captured at (the warmup boundary for a whole-run
-	// replay, an interval start for an interval checkpoint). Generator
-	// warmup snapshots leave both zero. They participate in the content
-	// key, so a state warmed on one stream can never continue another —
-	// generated or recorded, at a different index, or of different
-	// trace content.
-	TraceID  string
-	AtRecord uint64
+	// TraceID identifies a state warmed on a trace file: the file's
+	// content hash. Generator warmup snapshots leave it empty. It
+	// participates in the content key, so a state warmed on one stream
+	// can never continue another — generated or recorded, or of
+	// different trace content.
+	TraceID string
 	// Spec is the design configuration (all fields participate).
 	Spec DesignSpec
 }
@@ -117,8 +113,8 @@ type WarmKey struct {
 func (k WarmKey) Hash() string {
 	s := k.Spec.withDefaults()
 	h := sha256.New()
-	fmt.Fprintf(h, "snap=%d.%d|wl=%s|seed=%d|scale=%g|warm=%d|trace=%s|at=%d|",
-		warmStateVersion, dcache.SnapshotVersion, k.Workload, k.Seed, k.Scale, k.WarmupRefs, k.TraceID, k.AtRecord)
+	fmt.Fprintf(h, "snap=%d.%d|wl=%s|seed=%d|scale=%g|warm=%d|trace=%s|",
+		warmStateVersion, dcache.SnapshotVersion, k.Workload, k.Seed, k.Scale, k.WarmupRefs, k.TraceID)
 	fmt.Fprintf(h, "kind=%s|mb=%d|dscale=%g|alloc=%s|map=%s|fill=%s|part=%s|page=%d|fht=%d|ways=%d",
 		s.Kind, s.PaperCapacityMB, s.Scale, s.Alloc, s.Mapping, s.Fill, s.Partition, s.PageBytes, s.FHTEntries, s.Ways)
 	return hex.EncodeToString(h.Sum(nil))
@@ -130,7 +126,7 @@ func (k WarmKey) Hash() string {
 func (k WarmKey) Meta() SnapshotMeta {
 	return SnapshotMeta{
 		Workload: k.Workload, Seed: k.Seed, Scale: k.Scale, WarmupRefs: k.WarmupRefs,
-		TraceID: k.TraceID, AtRecord: k.AtRecord,
+		TraceID: k.TraceID,
 	}
 }
 

@@ -233,27 +233,23 @@ func TestWarmCacheSizeCapEvictsOldest(t *testing.T) {
 	}
 }
 
-// TestWarmKeyIntervalIdentity pins the key-collision regression from
-// the interval-parallel runner: an interval checkpoint (trace content
-// hash + start record) must hash to a different cache entry than the
-// whole-run warmup snapshot of the same point, and than checkpoints of
-// the same record index over different trace content. A restore under
-// the wrong identity must also fail the snapshot's own meta check.
-func TestWarmKeyIntervalIdentity(t *testing.T) {
-	whole := wcKey(1)
-	interval := whole
-	interval.TraceID = "sha256:abc"
-	interval.AtRecord = 4096
-	otherTrace := interval
+// TestWarmKeyTraceIdentity pins the cache's stream identity: a state
+// warmed on a trace file (keyed by its content hash) must hash to a
+// different cache entry than the generator warmup snapshot of the same
+// point, and than a state warmed on different trace content. A restore
+// under the wrong identity must also fail the snapshot's own meta
+// check.
+func TestWarmKeyTraceIdentity(t *testing.T) {
+	generated := wcKey(1)
+	traced := generated
+	traced.TraceID = "sha256:abc"
+	otherTrace := traced
 	otherTrace.TraceID = "sha256:def"
-	otherStart := interval
-	otherStart.AtRecord = 8192
 
 	keys := map[string]string{
-		"whole-run":   whole.Hash(),
-		"interval":    interval.Hash(),
+		"generated":   generated.Hash(),
+		"traced":      traced.Hash(),
 		"other-trace": otherTrace.Hash(),
-		"other-start": otherStart.Hash(),
 	}
 	seen := map[string]string{}
 	for name, h := range keys {
@@ -270,19 +266,19 @@ func TestWarmKeyIntervalIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cache.Store(interval, wcState(t)); err != nil {
+	if err := cache.Store(traced, wcState(t)); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(cache.path(interval))
+	data, err := os.ReadFile(cache.path(traced))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(cache.path(whole), data, 0o644); err != nil {
+	if err := os.WriteFile(cache.path(generated), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	hit, ev, err := cache.Load(whole, wcState(t))
+	hit, ev, err := cache.Load(generated, wcState(t))
 	if err != nil || hit {
-		t.Fatalf("interval snapshot restored under whole-run identity: hit=%v err=%v", hit, err)
+		t.Fatalf("trace-warmed snapshot restored under the generator identity: hit=%v err=%v", hit, err)
 	}
 	if ev == nil {
 		t.Fatal("identity mismatch did not quarantine the entry")

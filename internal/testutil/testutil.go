@@ -9,7 +9,6 @@
 package testutil
 
 import (
-	"bytes"
 	"encoding/json"
 	"math/rand"
 	"testing"
@@ -60,36 +59,6 @@ func SynthTraceAt(tb testing.TB, workload string, seed int64, scale float64, n i
 		tb.Fatalf("skipped %d of %d records", skipped, n)
 	}
 	return src
-}
-
-// ChunkedTrace writes n generated records into an in-memory v2 trace
-// file with the given chunk granularity and opens it for random
-// access — the shape the interval-parallel runner consumes.
-func ChunkedTrace(tb testing.TB, workload string, seed int64, scale float64, n, chunk int) *memtrace.FileReader {
-	tb.Helper()
-	gen := SynthTrace(tb, workload, seed, scale)
-	var buf bytes.Buffer
-	w := memtrace.NewWriterV2(&buf)
-	if err := w.SetChunkRecords(chunk); err != nil {
-		tb.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		rec, ok := gen.Next()
-		if !ok {
-			tb.Fatalf("generator exhausted at %d", i)
-		}
-		if err := w.Write(rec); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		tb.Fatal(err)
-	}
-	fr, err := memtrace.NewFileReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return fr
 }
 
 // AsJSON canonicalizes a value for byte-identity comparison.
