@@ -1,7 +1,13 @@
 package system
 
 import (
+	"bytes"
 	"encoding/json"
+	"flag"
+	"fmt"
+	"hash/fnv"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"fpcache/internal/core"
@@ -82,30 +88,81 @@ func parityTrace(t *testing.T, workload string, scale float64) *synth.Generator 
 	return testutil.SynthTrace(t, workload, 7, scale)
 }
 
-func TestGoldenParityAllDesigns(t *testing.T) {
-	const (
-		scale  = 1.0 / 64
-		warmup = 40_000
-		refs   = 40_000
-	)
-	kinds := []string{
+var update = flag.Bool("update", false, "rewrite testdata/parity from the current engine")
+
+const (
+	parityScale  = 1.0 / 64
+	parityWarmup = 40_000
+	parityRefs   = 40_000
+)
+
+var (
+	parityKinds = []string{
 		KindBaseline, KindBlock, KindPage, KindSubblock,
 		KindFootprint, KindFootprintNoSingleton, KindFootprintUnion,
 		KindHotPage, KindIdeal,
 	}
-	workloads := []string{synth.WebSearch, synth.MapReduce}
-	for _, wl := range workloads {
-		for _, kind := range kinds {
-			for _, mb := range []int{64, 256} {
-				mono := buildMonolith(t, kind, mb, scale)
-				want := mustFunctional(RunFunctional(mono, parityTrace(t, wl, scale), warmup, refs))
+	parityWorkloads  = []string{synth.WebSearch, synth.MapReduce}
+	parityCapacities = []int{64, 256}
+)
 
-				composed, err := BuildDesign(DesignSpec{Kind: kind, PaperCapacityMB: mb, Scale: scale})
+// parityRow is one recorded point of the golden parity grid: the full
+// FunctionalResult and the SRAM budget of one (workload, kind,
+// capacity) design.
+type parityRow struct {
+	Workload     string           `json:"workload"`
+	Kind         string           `json:"kind"`
+	MB           int              `json:"mb"`
+	MetadataBits int64            `json:"metadata_bits"`
+	Result       FunctionalResult `json:"result"`
+}
+
+// checkGolden compares got with testdata/parity/name byte for byte, or
+// rewrites the file under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", "parity", name)
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to record)", err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	gotLines, wantLines := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+	for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
+		if !bytes.Equal(gotLines[i], wantLines[i]) {
+			t.Fatalf("%s line %d diverges\nrecorded: %s\nengine:   %s", path, i+1, wantLines[i], gotLines[i])
+		}
+	}
+	t.Fatalf("%s: %d lines recorded, engine produced %d", path, len(wantLines), len(gotLines))
+}
+
+// TestGoldenParityAllDesigns pins every design BuildDesign returns to
+// the FunctionalResults and SRAM budgets recorded in
+// testdata/parity/designs.jsonl, one JSON line per grid point.
+func TestGoldenParityAllDesigns(t *testing.T) {
+	var buf bytes.Buffer
+	for _, wl := range parityWorkloads {
+		for _, kind := range parityKinds {
+			for _, mb := range parityCapacities {
+				d, err := BuildDesign(DesignSpec{Kind: kind, PaperCapacityMB: mb, Scale: parityScale})
 				if err != nil {
 					t.Fatalf("%s/%s/%dMB: BuildDesign: %v", wl, kind, mb, err)
 				}
-				got := mustFunctional(RunFunctional(composed, parityTrace(t, wl, scale), warmup, refs))
+				got := mustFunctional(RunFunctional(d, parityTrace(t, wl, parityScale), parityWarmup, parityRefs))
 
+				mono := buildMonolith(t, kind, mb, parityScale)
+				want := mustFunctional(RunFunctional(mono, parityTrace(t, wl, parityScale), parityWarmup, parityRefs))
 				wantJSON, err := json.Marshal(want)
 				if err != nil {
 					t.Fatal(err)
@@ -118,43 +175,67 @@ func TestGoldenParityAllDesigns(t *testing.T) {
 					t.Errorf("%s/%s/%dMB: composed engine diverges from monolith\nmonolith: %s\ncomposed: %s",
 						wl, kind, mb, wantJSON, gotJSON)
 				}
-				if mono.MetadataBits() != composed.MetadataBits() {
+				if mono.MetadataBits() != d.MetadataBits() {
 					t.Errorf("%s/%dMB: metadata budget diverges: monolith %d, composed %d",
-						kind, mb, mono.MetadataBits(), composed.MetadataBits())
+						kind, mb, mono.MetadataBits(), d.MetadataBits())
 				}
+
+				line, err := json.Marshal(parityRow{Workload: wl, Kind: kind, MB: mb, MetadataBits: d.MetadataBits(), Result: got})
+				if err != nil {
+					t.Fatal(err)
+				}
+				buf.Write(line)
+				buf.WriteByte('\n')
 			}
 		}
 	}
+	checkGolden(t, "designs.jsonl", buf.Bytes())
 }
 
-// TestGoldenParityDensityObserver pins the Figure 4 seam: the
-// engine's eviction-density observer fires with the same values as
-// the monolithic page cache's.
+// densityRecord summarises an eviction-density sequence: its length,
+// its histogram over demanded-block counts, and an FNV-64a hash of the
+// sequence (one byte per eviction) that pins the order.
+type densityRecord struct {
+	Count     int    `json:"count"`
+	Histogram []int  `json:"histogram"`
+	FNV64     string `json:"fnv64"`
+}
+
+// TestGoldenParityDensityObserver pins the Figure 4 seam: the page
+// engine's eviction-density observer fires with the sequence recorded
+// in testdata/parity/density.json.
 func TestGoldenParityDensityObserver(t *testing.T) {
-	const scale = 1.0 / 64
 	collect := func(d dcache.Design, hook func(fn dcache.DensityObserver)) []int {
 		var out []int
 		hook(func(demanded, pageBlocks int) { out = append(out, demanded) })
-		RunFunctional(d, parityTrace(t, synth.MapReduce, scale), 0, 30_000)
+		RunFunctional(d, parityTrace(t, synth.MapReduce, parityScale), 0, 30_000)
 		return out
 	}
-	mono := buildMonolith(t, KindPage, 64, scale).(*dcache.PageCache)
+	mono := buildMonolith(t, KindPage, 64, parityScale).(*dcache.PageCache)
 	want := collect(mono, func(fn dcache.DensityObserver) { mono.OnEvict = fn })
-	d, err := BuildDesign(DesignSpec{Kind: KindPage, PaperCapacityMB: 64, Scale: scale})
+	d, err := BuildDesign(DesignSpec{Kind: KindPage, PaperCapacityMB: 64, Scale: parityScale})
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng := d.(*dcache.Engine)
 	got := collect(eng, func(fn dcache.DensityObserver) { eng.OnEvict = fn })
-	if len(want) == 0 {
+	if len(got) == 0 {
 		t.Fatal("no evictions observed; trace too small for parity check")
 	}
-	if len(got) != len(want) {
-		t.Fatalf("eviction counts diverge: monolith %d, engine %d", len(want), len(got))
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("eviction densities diverge: monolith %d evictions, engine %d", len(want), len(got))
 	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("eviction %d density diverges: monolith %d, engine %d", i, want[i], got[i])
-		}
+
+	rec := densityRecord{Count: len(got), Histogram: make([]int, eng.Geometry().PageBytes/64+1)}
+	h := fnv.New64a()
+	for _, v := range got {
+		rec.Histogram[v]++
+		h.Write([]byte{byte(v)})
 	}
+	rec.FNV64 = fmt.Sprintf("%016x", h.Sum64())
+	out, err := json.MarshalIndent(rec, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "density.json", append(out, '\n'))
 }
