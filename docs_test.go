@@ -3,9 +3,10 @@ package fpcache
 // Docs hygiene checks, run as part of the ordinary test suite and
 // called out explicitly by the CI docs step: every internal package
 // must carry a package comment, every Go code block in README.md must
-// actually build against the module, and every flag a README command
-// line passes must exist — documentation that bit-rots fails the build
-// instead of misleading the next reader.
+// actually build against the module, every flag a README command line
+// passes must exist, and DESIGN.md's experiment index must list exactly
+// the registered experiments — documentation that bit-rots fails the
+// build instead of misleading the next reader.
 
 import (
 	"go/ast"
@@ -15,9 +16,12 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"unicode"
+
+	"fpcache/internal/experiments"
 )
 
 // TestInternalPackageComments walks every package under internal/ (and
@@ -196,5 +200,35 @@ func TestREADMEFlagsExist(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("README.md has no `go run ./cmd/<tool>` line with flags; the check matched nothing")
+	}
+}
+
+// TestDesignExperimentIndex checks that the id column of DESIGN.md
+// §4's experiment index names exactly the experiments the registry
+// runs, in registry order, with none missing and none extra.
+func TestDesignExperimentIndex(t *testing.T) {
+	src, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(src), "\n## §4 Experiment index\n")
+	if !ok {
+		t.Fatal("DESIGN.md has no \"## §4 Experiment index\" section")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	var ids []string
+	for _, line := range strings.Split(section, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 3 || !strings.HasPrefix(line, "|") {
+			continue
+		}
+		id := strings.TrimSpace(cells[1])
+		if id == "id" || strings.HasPrefix(id, "-") {
+			continue // header and separator rows
+		}
+		ids = append(ids, id)
+	}
+	if want := experiments.Names(); !slices.Equal(ids, want) {
+		t.Errorf("DESIGN.md §4 lists %v,\nthe registry runs %v", ids, want)
 	}
 }

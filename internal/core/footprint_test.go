@@ -12,7 +12,6 @@ import (
 // optimization on.
 func testConfig() Config {
 	cfg := Default(1 << 20)
-	cfg.TagCycles = 9
 	cfg.FHTEntries = 1024
 	cfg.FHTWays = 8
 	cfg.STEntries = 64
@@ -20,9 +19,32 @@ func testConfig() Config {
 	return cfg
 }
 
-func mustCache(t *testing.T, cfg Config) *Cache {
+// fpEngine is the Footprint design as BuildDesign composes it: the
+// footprint allocation policy on a page-direct engine.
+type fpEngine struct {
+	*dcache.Engine
+	fp   *FootprintPolicy
+	sets int
+}
+
+func newFootprint(cfg Config) (*fpEngine, error) {
+	fp, err := NewFootprintPolicy(cfg)
+	if err != nil {
+		return nil, err
+	}
+	eng, err := dcache.NewEngine(dcache.EngineConfig{
+		Name: cfg.VariantName(), Geometry: cfg.Geometry, TagCycles: 9,
+		Alloc: fp, Mapping: dcache.PageDirectMapping{PageBytes: cfg.Geometry.PageBytes},
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &fpEngine{Engine: eng, fp: fp, sets: eng.LiveSets()}, nil
+}
+
+func mustCache(t *testing.T, cfg Config) *fpEngine {
 	t.Helper()
-	c, err := New(cfg)
+	c, err := newFootprint(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +59,7 @@ func write(pc memtrace.PC, addr memtrace.Addr) memtrace.Record {
 	return memtrace.Record{PC: pc, Addr: addr, Write: true}
 }
 
-func access(t *testing.T, c *Cache, rec memtrace.Record) dcache.Outcome {
+func access(t *testing.T, c *fpEngine, rec memtrace.Record) dcache.Outcome {
 	t.Helper()
 	out := c.Access(rec, nil)
 	if err := dcache.ValidateOps(out.Ops); err != nil {
@@ -50,7 +72,7 @@ func access(t *testing.T, c *Cache, rec memtrace.Record) dcache.Outcome {
 // of each of pages [from..to] at the given stride. Two blocks keep
 // the dummy visits from being classified as singletons (which would
 // bypass allocation and defeat the flood).
-func floodSet(t *testing.T, c *Cache, from, to int, pageStride memtrace.Addr) {
+func floodSet(t *testing.T, c *fpEngine, from, to int, pageStride memtrace.Addr) {
 	t.Helper()
 	for i := from; i <= to; i++ {
 		base := memtrace.Addr(i) * pageStride
@@ -62,17 +84,17 @@ func floodSet(t *testing.T, c *Cache, from, to int, pageStride memtrace.Addr) {
 func TestConfigValidation(t *testing.T) {
 	bad := testConfig()
 	bad.FHTEntries = 10
-	if _, err := New(bad); err == nil {
+	if _, err := newFootprint(bad); err == nil {
 		t.Fatal("bad FHT geometry accepted")
 	}
 	bad = testConfig()
 	bad.STEntries = 3
-	if _, err := New(bad); err == nil {
+	if _, err := newFootprint(bad); err == nil {
 		t.Fatal("bad ST geometry accepted")
 	}
 	bad = testConfig()
 	bad.Geometry.PageBytes = 100
-	if _, err := New(bad); err == nil {
+	if _, err := newFootprint(bad); err == nil {
 		t.Fatal("bad page size accepted")
 	}
 }
@@ -92,7 +114,7 @@ func TestColdMissFetchesDemandedBlockOnly(t *testing.T) {
 	if offBytes != 64 {
 		t.Fatalf("cold (unknown footprint) miss fetched %d bytes, want 64", offBytes)
 	}
-	if c.Extra().FHTCold != 1 {
+	if c.fp.Extra().FHTCold != 1 {
 		t.Fatal("cold miss not counted")
 	}
 }
@@ -141,8 +163,8 @@ func TestUnderpredictionFetchesSingleBlock(t *testing.T) {
 	if out.Hit || out.Bypass {
 		t.Fatalf("unpredicted block outcome: %+v", out)
 	}
-	if c.Extra().UnderpredMisses != 1 {
-		t.Fatalf("underpred misses = %d", c.Extra().UnderpredMisses)
+	if c.fp.Extra().UnderpredMisses != 1 {
+		t.Fatalf("underpred misses = %d", c.fp.Extra().UnderpredMisses)
 	}
 	// Block is now demanded and hits.
 	if !access(t, c, read(0x400000, 8*64)).Hit {
@@ -177,12 +199,12 @@ func TestSingletonBypassAndCorrection(t *testing.T) {
 	// Next trigger from the same key: predicted singleton, bypassed.
 	// (The flood itself performs one learning bypass+correction cycle,
 	// so assert on deltas.)
-	pre := c.Extra()
+	pre := c.fp.Extra()
 	out := access(t, c, read(pc, memtrace.Addr(17)*pageStride))
 	if !out.Bypass {
 		t.Fatalf("predicted singleton not bypassed: %+v", out)
 	}
-	if got := c.Extra().SingletonBypasses - pre.SingletonBypasses; got != 1 {
+	if got := c.fp.Extra().SingletonBypasses - pre.SingletonBypasses; got != 1 {
 		t.Fatalf("bypass delta = %d", got)
 	}
 	if len(out.Ops) != 1 || out.Ops[0].Level != dcache.OffChip || out.Ops[0].Bytes != 64 {
@@ -195,7 +217,7 @@ func TestSingletonBypassAndCorrection(t *testing.T) {
 	if out.Bypass {
 		t.Fatal("second access to bypassed page bypassed again")
 	}
-	if got := c.Extra().STCorrections - pre.STCorrections; got != 1 {
+	if got := c.fp.Extra().STCorrections - pre.STCorrections; got != 1 {
 		t.Fatalf("ST correction delta = %d", got)
 	}
 	// Both the original singleton block and the new one were fetched.
@@ -217,7 +239,7 @@ func TestSingletonOptDisabledAllocates(t *testing.T) {
 	if out.Bypass {
 		t.Fatal("bypass happened with optimization disabled")
 	}
-	if c.Extra().SingletonBypasses != 0 {
+	if c.fp.Extra().SingletonBypasses != 0 {
 		t.Fatal("bypass counted with optimization disabled")
 	}
 }
@@ -237,13 +259,13 @@ func TestEvictionFeedbackAccuracyCounters(t *testing.T) {
 	for i := 1; i <= 16; i++ {
 		access(t, c, read(0x500000, memtrace.Addr(i)*pageStride))
 	}
-	pre := c.Extra()
+	pre := c.fp.Extra()
 	access(t, c, read(pc, memtrace.Addr(17)*pageStride))      // trigger: predicts {0,1}
 	access(t, c, read(pc, memtrace.Addr(17)*pageStride+2*64)) // underpred block 2
 	for i := 18; i <= 34; i++ {
 		access(t, c, read(0x500000, memtrace.Addr(i)*pageStride))
 	}
-	post := c.Extra().Sub(pre)
+	post := c.fp.Extra().Sub(pre)
 	if post.CoveredBlocks < 1 || post.UnderBlocks < 1 || post.OverBlocks < 1 {
 		t.Fatalf("accuracy counters: %+v", post)
 	}
@@ -314,11 +336,11 @@ func TestCountersConsistentUnderRandomTraffic(t *testing.T) {
 	if ctr.Bypasses > ctr.Misses {
 		t.Fatalf("bypasses exceed misses: %+v", ctr)
 	}
-	ex := c.Extra()
+	ex := c.fp.Extra()
 	if ex.UnderpredMisses+ex.SingletonBypasses+ex.FHTCold > ctr.Misses {
 		t.Fatalf("miss decomposition exceeds misses: %+v vs %d", ex, ctr.Misses)
 	}
-	q, cold, upd := c.FHTStats()
+	q, cold, upd := c.fp.FHTStats()
 	if cold > q {
 		t.Fatalf("FHT cold %d > queries %d", cold, q)
 	}
@@ -392,8 +414,17 @@ func TestFeedbackPolicyString(t *testing.T) {
 }
 
 func TestNameAndInterface(t *testing.T) {
-	var d dcache.Design = mustCache(t, testConfig())
+	cfg := testConfig()
+	var d dcache.Design = mustCache(t, cfg)
 	if d.Name() != "footprint" {
 		t.Fatalf("Name = %q", d.Name())
+	}
+	cfg.Feedback = FeedbackUnion
+	if got := mustCache(t, cfg).fp.Name(); got != "footprint-union" {
+		t.Fatalf("union variant Name = %q", got)
+	}
+	cfg.SingletonOpt = false
+	if got := mustCache(t, cfg).fp.Name(); got != "footprint-nosingleton" {
+		t.Fatalf("no-singleton variant Name = %q", got)
 	}
 }

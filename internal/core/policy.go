@@ -5,14 +5,14 @@ import (
 	"fpcache/internal/memtrace"
 )
 
-// FootprintPolicy is the paper's contribution decomposed into the
-// composable engine's allocation axis (dcache.AllocPolicy): the FHT
-// prediction, Singleton Table filtering, and eviction-time feedback of
-// §4.2-4.4, with the tag array owned by the generic engine instead of
-// the monolithic Cache. Composed as footprint+pagedirect+lru it is
-// byte-identical to Cache (the golden parity test in internal/system
-// proves it); composed with other mapping or fill policies it opens
-// the hybrid design space the paper never explored.
+// FootprintPolicy is the paper's contribution as the composable
+// engine's allocation axis (dcache.AllocPolicy): the FHT prediction,
+// Singleton Table filtering, and eviction-time feedback of §4.2-4.4,
+// with the tag array owned by the generic engine. Composed as
+// footprint+pagedirect+lru it is the paper's Footprint Cache, pinned
+// by the recorded parity rows in internal/system and by the reference
+// model in this package's tests; composed with other mapping or fill
+// policies it opens the hybrid design space the paper never explored.
 type FootprintPolicy struct {
 	cfg   Config
 	fht   *FHT
@@ -21,8 +21,7 @@ type FootprintPolicy struct {
 }
 
 // NewFootprintPolicy builds the allocation policy from a Footprint
-// configuration (Geometry and TagCycles are owned by the engine and
-// ignored here, except for page size in table budgets).
+// configuration (Geometry is owned by the engine and ignored here).
 func NewFootprintPolicy(cfg Config) (*FootprintPolicy, error) {
 	fht, err := NewFHT(cfg.FHTEntries, cfg.FHTWays)
 	if err != nil {

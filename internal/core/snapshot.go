@@ -15,7 +15,7 @@ import (
 // also where the layout's version const lives (dcache.SnapshotVersion);
 // the fplint snapmeta analyzer pins the serialized structs here.
 //
-//fplint:snapfields 0xcc6bbac3
+//fplint:snapfields 0xc63aaa61
 
 // Save serializes the FHT: table contents with LRU state, and the
 // query/cold/update counters.

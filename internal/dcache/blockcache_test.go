@@ -213,14 +213,21 @@ func TestHotPageBypassesUntilHot(t *testing.T) {
 	}
 }
 
-func mustHot(t *testing.T) *HotPageCache {
+// mustHot is the CHOP-style hot-page design (§6.7) as BuildDesign
+// composes it: a hotness gate over a 4KB page-allocation engine.
+func mustHot(t *testing.T) *Gate {
 	t.Helper()
-	h, err := NewHotPageCache(HotPageConfig{
-		Geometry:      PageGeometry{CapacityBytes: 1 << 20, PageBytes: 4096, Ways: 16},
-		TagCycles:     6,
-		FilterEntries: 1024,
-		FilterWays:    8,
-		Threshold:     4,
+	g4k := PageGeometry{CapacityBytes: 1 << 20, PageBytes: 4096, Ways: 16}
+	eng, err := NewEngine(EngineConfig{
+		Name: "hotpage", Geometry: g4k, TagCycles: 6,
+		Alloc: PageAlloc{}, Mapping: PageDirectMapping{PageBytes: g4k.PageBytes},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := NewGate(GateConfig{
+		Name: "hotpage", Engine: eng, Policy: HotGatePolicy{Threshold: 4},
+		FilterEntries: 1024, FilterWays: 8,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -116,14 +116,23 @@ func TestPageGeometryValidate(t *testing.T) {
 	}
 }
 
-func newPage(t *testing.T) *PageCache {
+// newPageEngine composes a page-direct engine over geom() with the
+// given allocation policy, as BuildDesign does for the paper's
+// page-granularity kinds.
+func newPageEngine(t *testing.T, name string, alloc AllocPolicy, tagCycles int) *Engine {
 	t.Helper()
-	p, err := NewPageCache(PageCacheConfig{Geometry: geom(), TagCycles: 6})
+	e, err := NewEngine(EngineConfig{
+		Name: name, Geometry: geom(), TagCycles: tagCycles,
+		Alloc: alloc, Mapping: PageDirectMapping{PageBytes: geom().PageBytes},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p
+	return e
 }
+
+// newPage is the page-based design (§2.3): whole-page allocation.
+func newPage(t *testing.T) *Engine { return newPageEngine(t, "page", PageAlloc{}, 6) }
 
 func TestPageCacheMissFillsWholePage(t *testing.T) {
 	p := newPage(t)
@@ -239,14 +248,9 @@ func TestPageCacheMetadataFormula(t *testing.T) {
 	}
 }
 
-func newSub(t *testing.T) *SubblockCache {
-	t.Helper()
-	s, err := NewSubblockCache(SubblockConfig{Geometry: geom(), TagCycles: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
+// newSub is the sub-blocked design (§3.1): page tags, demand-fetched
+// blocks.
+func newSub(t *testing.T) *Engine { return newPageEngine(t, "subblock", DemandAlloc{}, 4) }
 
 func TestSubblockFetchesOnDemandOnly(t *testing.T) {
 	s := newSub(t)

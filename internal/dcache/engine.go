@@ -11,15 +11,15 @@ import (
 // Design whose behaviour is the product of an allocation policy, a
 // mapping policy, and (optionally, via gate.go) a fill gate. The
 // paper's page-based, sub-blocked, and Footprint designs are fixed
-// policy combinations of this engine — proven byte-identical to the
-// monolithic reference implementations by the golden parity test in
-// internal/system — and hybrids like footprint+banshee compose from
-// the same parts.
+// policy combinations of this engine, and hybrids like
+// footprint+banshee compose from the same parts. Recorded rows in
+// internal/system/testdata/parity and a test-only reference model in
+// internal/core pin the fixed combinations (DESIGN.md §6).
 //
-// The access flow is the superset of the monoliths' flows (§2.3,
-// §3.1, §4.2-4.4): tag lookup; block hit served from the stacked
-// array; block miss on a resident page demand-fetched alone; page
-// miss consulted with the allocation policy (which may bypass),
+// The access flow covers all of the paper's page-granularity designs
+// (§2.3, §3.1, §4.2-4.4): tag lookup; block hit served from the
+// stacked array; block miss on a resident page demand-fetched alone;
+// page miss consulted with the allocation policy (which may bypass),
 // then victim eviction with policy feedback and a single footprint
 // fetch.
 type Engine struct {

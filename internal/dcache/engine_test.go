@@ -19,8 +19,8 @@ func testEngine(t *testing.T, alloc AllocPolicy, mapping MappingPolicy) *Engine 
 // TestGateCountersFollowOutcomes pins the gate's counter
 // classification to the inner engine's outcomes: a resident-page
 // block miss under partial allocation must count as a miss at the
-// gate, not a hit (the hot-page monolith could conflate the two only
-// because whole-page allocation never block-misses).
+// gate, not a hit (a gate over whole-page allocation never sees a
+// block miss, so only partial allocation exercises this).
 func TestGateCountersFollowOutcomes(t *testing.T) {
 	eng := testEngine(t, DemandAlloc{}, PageDirectMapping{PageBytes: 2048})
 	g, err := NewGate(GateConfig{Name: "test+banshee", Engine: eng, Policy: BansheeGatePolicy{}})

@@ -18,10 +18,10 @@ import "fpcache/internal/memtrace"
 //     (CHOP), or only when hotter than its victim (after Yu et al.'s
 //     Banshee frequency-gated fill).
 //
-// The paper's monolithic designs are fixed points of this space; the
-// golden parity test (internal/system) proves the engine reproduces
-// them byte-for-byte, and everything between the fixed points becomes
-// reachable from a spec string ("footprint+banshee").
+// The paper's designs are fixed points of this space, pinned by the
+// recorded parity rows (internal/system/testdata/parity), and
+// everything between the fixed points is reachable from a spec string
+// ("footprint+banshee").
 
 // AllocDecision is an AllocPolicy's verdict on a triggering page miss.
 type AllocDecision struct {

@@ -124,10 +124,10 @@ func (s DesignSpec) CapacityBytes() int64 {
 	return int64(float64(int64(s.PaperCapacityMB)<<20) * s.Scale)
 }
 
-// composition is a resolved policy triple (plus the monolithic kinds
-// that do not decompose).
+// composition is a resolved policy triple (plus the fixed kinds that
+// do not decompose).
 type composition struct {
-	// fixed is non-empty for the monolithic designs: baseline, ideal,
+	// fixed is non-empty for the stand-alone designs: baseline, ideal,
 	// and the block-based cache, whose in-DRAM tag organization has no
 	// page-granularity policy decomposition.
 	fixed                string
@@ -431,8 +431,8 @@ func buildMapping(name string, geom dcache.PageGeometry) (dcache.MappingPolicy, 
 
 // BuildDesign constructs the specified cache design. Page-granularity
 // kinds are built as policy compositions on the generic engine
-// (dcache.Engine); the golden parity test pins them byte-identical to
-// the monolithic reference implementations.
+// (dcache.Engine); the golden parity test pins every kind to the rows
+// recorded in testdata/parity.
 func BuildDesign(spec DesignSpec) (dcache.Design, error) {
 	spec = spec.withDefaults()
 	comp, err := resolve(spec)

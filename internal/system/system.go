@@ -165,14 +165,11 @@ func partitionExtra(d dcache.Design) func() dcache.PartitionStats {
 }
 
 // footprintExtra locates the Footprint predictor statistics of a
-// design, whichever shape it takes: the monolithic reference cache, a
-// composed engine whose allocation policy is footprint-predicted, or
-// a fill-gated wrapper around one. Returns nil for designs without a
-// predictor.
+// design, whichever shape it takes: a composed engine whose
+// allocation policy is footprint-predicted, or a fill-gated wrapper
+// around one. Returns nil for designs without a predictor.
 func footprintExtra(d dcache.Design) func() core.Stats {
 	switch v := d.(type) {
-	case *core.Cache:
-		return v.Extra
 	case *dcache.Engine:
 		if fp, ok := v.Alloc().(*core.FootprintPolicy); ok {
 			return fp.Extra
