@@ -122,14 +122,6 @@ func (f *FHT) slot(ptr Ptr) *sram.Entry[uint64] {
 	return f.arr.Slot(set, int(ptr)%ways)
 }
 
-// MetadataBits returns the table's SRAM budget: per entry, a 40-bit
-// key tag (hash of PC & offset) plus the footprint vector — 72 bits
-// at 2KB pages, reproducing the paper's 144KB at 16K entries (§4.2).
-func (f *FHT) MetadataBits(blocksPerPage int) int64 {
-	per := int64(40 + blocksPerPage)
-	return int64(f.Entries()) * per
-}
-
 // stEntry is a Singleton Table record: the key that predicted a page
 // singleton, plus which offset it touched.
 type stEntry struct {
@@ -195,12 +187,6 @@ func (s *ST) Check(pageIdx uint64, offset int) (pc memtrace.PC, origOffset int, 
 	s.arr.Invalidate(set, tag)
 	s.Corrections++
 	return v.pc, v.offset, true
-}
-
-// MetadataBits returns the table's SRAM budget (~3KB at 512 entries):
-// per entry a page tag, PC hash, and offset.
-func (s *ST) MetadataBits() int64 {
-	return int64(s.Entries()) * 48
 }
 
 // lruBits returns ceil(log2(n)) for positive n (shared helper).

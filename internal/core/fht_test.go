@@ -117,10 +117,23 @@ func TestFHTDistinctKeysDistinctEntries(t *testing.T) {
 	}
 }
 
+// tableKB is FootprintPolicy.TableBits in KB for the paper's 2KB-page
+// configuration with edit applied.
+func tableKB(t *testing.T, edit func(*Config)) float64 {
+	t.Helper()
+	cfg := Default(256 << 20)
+	edit(&cfg)
+	p, err := NewFootprintPolicy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return float64(p.TableBits(cfg.Geometry.PageBytes/64)) / 8 / 1024
+}
+
 func TestFHTMetadataBudget(t *testing.T) {
-	// Paper §4.2: 16K entries = 144KB for 2KB pages.
-	f := mustFHT(t, 16*1024, 16)
-	kb := float64(f.MetadataBits(32)) / 8 / 1024
+	// Paper §4.2: 16K entries = 144KB for 2KB pages. The FHT's share
+	// of the policy's table budget is what 16K more entries add.
+	kb := tableKB(t, func(c *Config) { c.FHTEntries = 32 * 1024 }) - tableKB(t, func(*Config) {})
 	if kb < 130 || kb > 160 {
 		t.Fatalf("FHT storage = %.0fKB, want ~144KB", kb)
 	}
@@ -209,8 +222,8 @@ func TestSTNoteOverwrites(t *testing.T) {
 }
 
 func TestSTMetadataBudget(t *testing.T) {
-	st, _ := NewST(512, 8)
-	kb := float64(st.MetadataBits()) / 8 / 1024
+	// ~3KB at 512 entries (§4.4): what 512 more ST entries add.
+	kb := tableKB(t, func(c *Config) { c.STEntries = 1024 }) - tableKB(t, func(*Config) {})
 	if kb < 2.5 || kb > 3.5 {
 		t.Fatalf("ST storage = %.1fKB, want ~3KB", kb)
 	}

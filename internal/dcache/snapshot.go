@@ -26,7 +26,8 @@ import (
 // snapshot caches include it in their keys, so a version bump simply
 // invalidates old cache entries. The fplint snapmeta analyzer pins the
 // serialized structs' field layout to the fingerprint below; if it
-// fires, update the codec, bump this const, and refresh the directive.
+// fires, refresh the directive, and bump this const (with the codec)
+// only if the bytes the codec writes changed.
 //
 //fplint:snapfields 0x21ff85e3
 const SnapshotVersion = 2

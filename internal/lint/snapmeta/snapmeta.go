@@ -10,9 +10,11 @@
 //     with a //fplint:snapfields 0x%08x directive (conventionally on
 //     the snapshot version const). Any field added to, removed from,
 //     or retyped in a carrier changes the fingerprint and fails the
-//     build until the codec is updated, the version const is bumped,
-//     and the directive is refreshed — the compile-time face of the
-//     "snapVersion bump on layout change" rule.
+//     build until the directive is refreshed. The version const is
+//     bumped, with the codec updated, only when the bytes the codec
+//     writes change; a field the codec never writes (a derived or
+//     configuration field) needs the refresh alone, since bumping the
+//     version would invalidate every cached snapshot for nothing.
 //
 // Carrier structs are found structurally: receivers of methods taking
 // a *snap.Writer, structs passed by pointer alongside a *snap.Writer
@@ -328,7 +330,7 @@ func checkDirective(pass *lint.Pass, carriers map[*types.Named]bool, want uint32
 	case 0:
 		pass.Reportf(pass.Files[0].Package,
 			"package serializes snapshot state (carriers: %s) but pins no field fingerprint; "+
-				"add `%s %#08x` on the snapshot version const and bump that const whenever the fingerprint changes",
+				"add `%s %#08x` on the snapshot version const; bump that const only when the bytes the codec writes change",
 			strings.Join(carrierNames, ", "), directive, want)
 	case 1:
 		fields := strings.Fields(strings.TrimPrefix(directives[0].Text, directive))
@@ -339,7 +341,7 @@ func checkDirective(pass *lint.Pass, carriers map[*types.Named]bool, want uint32
 		if got := fields[0]; got != fmt.Sprintf("%#08x", want) {
 			pass.Reportf(directives[0].Pos(),
 				"snapshot state-carrier fields changed: layout fingerprint is %#08x, directive records %s "+
-					"(carriers: %s) — update the codec, bump the snapshot version const, and refresh the directive",
+					"(carriers: %s) — refresh the directive; bump the snapshot version const, with the codec, only if the bytes the codec writes changed",
 				want, got, strings.Join(carrierNames, ", "))
 		}
 	default:

@@ -1,7 +1,7 @@
 // Package a exercises the snapmeta analyzer: an unpaired Snapshot, a
 // versionless Snapshot/Restore pair, and serialized carrier structs
 // with no pinned field fingerprint.
-package a // want `pins no field fingerprint`
+package a // want `pins no field fingerprint; add .* bump that const only when the bytes the codec writes change`
 
 import (
 	"errors"

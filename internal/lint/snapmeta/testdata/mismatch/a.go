@@ -1,11 +1,10 @@
 // Package a pins a stale carrier fingerprint: the directive's value
-// no longer matches the struct layout, as after adding a field without
-// bumping the version.
+// no longer matches the struct layout, as after adding a field.
 package a
 
 import "fpcache/internal/snap"
 
-//fplint:snapfields 0xdeadbeef // want `directive records 0xdeadbeef`
+//fplint:snapfields 0xdeadbeef // want `directive records 0xdeadbeef .*refresh the directive; bump the snapshot version const, with the codec, only if the bytes the codec writes changed`
 const stateVersion = 1
 
 var _ = stateVersion

@@ -9,8 +9,9 @@ import (
 
 // The serialized layout below is pinned by the fplint snapmeta
 // analyzer; versioning lives in the enclosing envelope
-// (dcache.SnapshotVersion), so a fingerprint change means bumping that
-// const along with refreshing this directive.
+// (dcache.SnapshotVersion), so a fingerprint change means refreshing
+// this directive, and bumping that const too only if the bytes Save
+// writes changed.
 //
 //fplint:snapfields 0x551a8fdb
 

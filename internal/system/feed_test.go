@@ -10,8 +10,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"fpcache/internal/dcache"
+	"fpcache/internal/dram"
 	"fpcache/internal/fault"
 	"fpcache/internal/memtrace"
 	"fpcache/internal/sweep"
@@ -103,7 +105,7 @@ func TestFeedGate(t *testing.T) {
 		t.Errorf("%d running steppers at GOMAXPROCS %d still pipeline", procs, procs)
 	}
 	withFeed(t, 1)
-	st := newStepper(&dcache.Baseline{}, testutil.RandomTrace(10, 1, 1), 5, nil, nil)
+	st := newStepper(&dcache.Baseline{}, testutil.RandomTrace(10, 1, 1), 5, nil, nil, nil, nil)
 	if st.feed == nil {
 		t.Error("forced-on hook left a stepper without its feed")
 	}
@@ -117,17 +119,34 @@ func TestFeedGate(t *testing.T) {
 	}
 }
 
+// trackerStats is a SimState's two row trackers' running totals.
+type trackerStats struct{ OffChip, Stacked dram.Stats }
+
+func trackersOf(s *SimState) trackerStats { return trackerStats{s.offT.Stats, s.stkT.Stats} }
+
+// offChipBursts counts the off-chip tracker's transfers.
+func (ts trackerStats) offChipBursts() uint64 { return ts.OffChip.ReadBursts + ts.OffChip.WriteBursts }
+
 // TestFeedParity pins that the feed changes no result: with the feed
 // forced on and forced off, Warm followed by Measure on one source and
 // RunTiming with a warmup give deeply equal results, under a resize
 // plan, and each stepper pulls exactly its budget from the source.
-// The budgets straddle several batch boundaries.
+// The row trackers, which the producer drives when the feed is on,
+// hold equal totals after Warm and after Measure, and the warm state
+// snapshots to the same bytes. The budgets straddle several batch
+// boundaries. The return path's entries stay at 16 bytes, two thirds
+// of a dcache.Op.
 func TestFeedParity(t *testing.T) {
+	if got := unsafe.Sizeof(trackOp{}); got != 16 {
+		t.Errorf("trackOp is %d bytes, want 16", got)
+	}
 	const warm, refs = 5_000, 7_500
 	plan := &ResizePlan{PeriodRefs: 1_000, Fractions: []float64{0.25, 0.75, 0.5}}
 	type run struct {
-		fn FunctionalResult
-		tm TimingResult
+		warmSnap          []byte
+		warmDRAM, endDRAM trackerStats
+		fn                FunctionalResult
+		tm                TimingResult
 	}
 	do := func(t *testing.T, kind string, mode int) run {
 		withFeed(t, mode)
@@ -148,7 +167,13 @@ func TestFeedParity(t *testing.T) {
 		if src.n != warm {
 			t.Fatalf("feed %+d: Warm pulled %d records, want %d", mode, src.n, warm)
 		}
+		var snap bytes.Buffer
+		if err := s.Snapshot(&snap, SnapshotMeta{Workload: synth.WebSearch, Seed: 1, Scale: 1.0 / 16, WarmupRefs: warm}); err != nil {
+			t.Fatal(err)
+		}
+		r.warmSnap, r.warmDRAM = snap.Bytes(), trackersOf(s)
 		r.fn = mustFunctional(s.Measure(src, refs))
+		r.endDRAM = trackersOf(s)
 		if src.n != warm+refs {
 			t.Fatalf("feed %+d: Measure pulled %d records, want %d", mode, src.n-warm, refs)
 		}
@@ -163,6 +188,15 @@ func TestFeedParity(t *testing.T) {
 	for _, kind := range []string{KindFootprint, KindBlock, "footprint+memcache:50"} {
 		t.Run(kind, func(t *testing.T) {
 			off, on := do(t, kind, -1), do(t, kind, 1)
+			if off.warmDRAM != on.warmDRAM || off.endDRAM != on.endDRAM {
+				t.Errorf("row trackers differ\nfeed off: warm %+v, end %+v\nfeed on:  warm %+v, end %+v", off.warmDRAM, off.endDRAM, on.warmDRAM, on.endDRAM)
+			}
+			if off.warmDRAM.offChipBursts() == 0 {
+				t.Error("Warm left the off-chip tracker untouched")
+			}
+			if !bytes.Equal(off.warmSnap, on.warmSnap) {
+				t.Errorf("warm snapshots differ: %d bytes with the feed off, %d with it on", len(off.warmSnap), len(on.warmSnap))
+			}
 			if !reflect.DeepEqual(off.fn, on.fn) {
 				t.Errorf("functional results differ\nfeed off: %s\nfeed on:  %s", testutil.AsJSON(t, off.fn), testutil.AsJSON(t, on.fn))
 			}
@@ -180,21 +214,21 @@ func TestFeedParity(t *testing.T) {
 // on the stepping goroutine, after the records before it, so sweep.Map
 // reports the point as failed, with the stack of the source's Next,
 // and the process goes on; the producer does not outlive the point.
+// The failed point's row trackers hold what they hold without the
+// feed.
 func TestFeedSourcePanicFailsPoint(t *testing.T) {
+	off := panicPointTrackers(t, -1)
 	withFeed(t, 1)
 	base := runtime.NumGoroutine()
 	designs := []*dcache.Baseline{{}, {}}
+	states := make([]*SimState, 2)
 	job := func(i int) (uint64, error) {
 		var src memtrace.Source = testutil.SynthTrace(t, synth.WebSearch, 1, 1.0/16)
 		if i == 1 {
 			src = &panickingSource{src: src, n: 2_500}
 		}
-		s := NewSimState(designs[i])
-		if err := s.Warm(src, 2_000); err != nil {
-			return 0, err
-		}
-		res, err := s.Measure(src, 4_000)
-		return res.Refs, err
+		states[i] = NewSimState(designs[i])
+		return warmMeasure(states[i], src)
 	}
 	out, errs := sweep.Map(2, 2, sweep.Policy{}, job)
 	if out[0] != 4_000 {
@@ -213,21 +247,61 @@ func TestFeedSourcePanicFailsPoint(t *testing.T) {
 	if n := designs[1].Counters().Accesses(); n != 2_500 {
 		t.Errorf("the failing point stepped %d records before the panic, want 2500", n)
 	}
+	if on := trackersOf(states[1]); on != off || on.offChipBursts() != 2_500 {
+		t.Errorf("failed point's row trackers: feed on %+v, off %+v, want 2500 off-chip bursts", on, off)
+	}
 	waitNoFeed(t, "panicking source", base)
+}
+
+// warmMeasure is TestFeedSourcePanicFailsPoint's point: 2,000 records
+// of warmup, then 4,000 measured.
+func warmMeasure(s *SimState, src memtrace.Source) (uint64, error) {
+	if err := s.Warm(src, 2_000); err != nil {
+		return 0, err
+	}
+	res, err := s.Measure(src, 4_000)
+	return res.Refs, err
+}
+
+// panicPointTrackers runs TestFeedSourcePanicFailsPoint's failing
+// point with the feed in the given mode and returns its row trackers.
+func panicPointTrackers(t *testing.T, mode int) trackerStats {
+	withFeed(t, mode)
+	s := NewSimState(&dcache.Baseline{})
+	src := &panickingSource{src: testutil.SynthTrace(t, synth.WebSearch, 1, 1.0/16), n: 2_500}
+	_, errs := sweep.Map(1, 1, sweep.Policy{}, func(int) (uint64, error) { return warmMeasure(s, src) })
+	if len(errs) != 1 || !errors.Is(errs[0].Err, fault.ErrPointPanic) {
+		t.Fatalf("feed %+d: failures %v, want the point failed with a recovered panic", mode, errs)
+	}
+	return trackersOf(s)
 }
 
 // TestFeedInvalidOpsStopsRun: a design that emits an invalid op list
 // at reference 3 stops every runner with fault.ErrInvalidOps while the
 // producer is still far ahead of it, and closing the stepper leaves no
-// producer behind and no stepper counted.
+// producer behind and no stepper counted. The functional runners' row
+// trackers hold the two valid outcomes' ops, as without the feed.
 func TestFeedInvalidOpsStopsRun(t *testing.T) {
+	gen := func() memtrace.Source { return testutil.SynthTrace(t, synth.WebSearch, 1, 1.0/16) }
+	functional := func(mode int) (warm, measure trackerStats) {
+		withFeed(t, mode)
+		s := NewSimState(&badAtThird{})
+		mustInvalidOps(t, "Warm", s.Warm(gen(), 100_000))
+		warm = trackersOf(s)
+		s = NewSimState(&badAtThird{})
+		_, err := s.Measure(gen(), 0)
+		mustInvalidOps(t, "Measure drain", err)
+		return warm, trackersOf(s)
+	}
+	offWarm, offMeasure := functional(-1)
 	withFeed(t, 1)
 	base := runtime.NumGoroutine()
-	gen := func() memtrace.Source { return testutil.SynthTrace(t, synth.WebSearch, 1, 1.0/16) }
-	mustInvalidOps(t, "Warm", NewSimState(&badAtThird{}).Warm(gen(), 100_000))
-	_, err := NewSimState(&badAtThird{}).Measure(gen(), 0)
-	mustInvalidOps(t, "Measure drain", err)
-	_, err = RunTiming(&badAtThird{}, gen(), TimingConfig{Cores: 4, MLP: 2, WarmupRefs: 100_000, MaxRefs: 100_000})
+	onWarm, onMeasure := functional(1)
+	if onWarm != offWarm || onMeasure != offMeasure || onWarm.offChipBursts() != 2 {
+		t.Errorf("row trackers after the invalid outcome: feed on %+v and %+v, off %+v and %+v, want 2 off-chip bursts each",
+			onWarm, onMeasure, offWarm, offMeasure)
+	}
+	_, err := RunTiming(&badAtThird{}, gen(), TimingConfig{Cores: 4, MLP: 2, WarmupRefs: 100_000, MaxRefs: 100_000})
 	mustInvalidOps(t, "RunTiming warmup", err)
 	_, err = RunTiming(&badAtThird{}, gen(), TimingConfig{Cores: 4, MLP: 2, MaxRefs: 100_000})
 	mustInvalidOps(t, "RunTiming demux", err)
@@ -288,21 +362,21 @@ func TestFeedCorruptTrace(t *testing.T) {
 	data := file.Bytes()
 	data[len(data)/2] ^= 0xFF
 
-	replay := func(mode int) uint64 {
+	replay := func(mode int) FunctionalResult {
 		withFeed(t, mode)
 		tr := memtrace.NewReader(bytes.NewReader(data))
 		res := mustFunctional(NewSimState(&dcache.Baseline{}).Measure(tr, 0))
 		if !errors.Is(tr.Err(), fault.ErrCorruptTrace) {
 			t.Fatalf("feed %+d: replay error %v, want fault.ErrCorruptTrace", mode, tr.Err())
 		}
-		return res.Refs
+		return res
 	}
 	off, on := replay(-1), replay(1)
-	if off != on {
-		t.Errorf("corrupt trace stopped after %d records with the feed, %d without", on, off)
+	if !reflect.DeepEqual(off, on) {
+		t.Errorf("corrupt trace replays differ\nfeed off: %s\nfeed on:  %s", testutil.AsJSON(t, off), testutil.AsJSON(t, on))
 	}
-	if off == 0 || off >= 40_000 {
-		t.Errorf("corrupt trace stopped after %d records; want a failure mid-file", off)
+	if bursts := off.OffChip.ReadBursts + off.OffChip.WriteBursts; off.Refs == 0 || off.Refs >= 40_000 || bursts != off.Refs {
+		t.Errorf("corrupt trace stopped after %d records with %d off-chip bursts; want a failure mid-file, one burst per record", off.Refs, bursts)
 	}
 }
 

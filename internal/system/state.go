@@ -34,8 +34,8 @@ type SimState struct {
 	// not Resizable) measures without resizes.
 	pol ResizePolicy
 	// ops is the run-wide scratch buffer: each Access appends into it
-	// and applyOps consumes it before the next reference, so the
-	// steady-state loop allocates nothing.
+	// and the stepper hands it to the trackers before the next
+	// reference, so the steady-state loop allocates nothing.
 	ops []dcache.Op
 }
 
@@ -57,8 +57,9 @@ const warmStateKind = "fpcache-warmstate"
 // entries cleanly: the content key misses and the envelope check
 // rejects.
 // The fplint snapmeta analyzer pins the serialized structs' field
-// layout to the fingerprint below; if it fires, update the codec, bump
-// this const, and refresh the directive.
+// layout to the fingerprint below; if it fires, refresh the directive,
+// and bump this const (with the codec) only if the bytes the codec
+// writes changed.
 //
 //fplint:snapfields 0xfbd84dcd
 const warmStateVersion = 6
@@ -83,21 +84,18 @@ func (s *SimState) Design() dcache.Design { return s.design }
 func (s *SimState) SetPolicy(pol ResizePolicy) { s.pol = pol }
 
 // run steps up to n records (n <= 0 drains the source) through the
-// design, replaying each outcome's ops and then any resize
-// transition's ops into the trackers. pol sets the stepper's epoch
-// schedule. Returns the instruction count, the number of records
+// design, and the stepper replays each outcome's ops and then any
+// resize transition's ops into the trackers. pol sets the stepper's
+// epoch schedule. Returns the instruction count, the number of records
 // stepped, and a typed error (fault.ErrInvalidOps) if the design
 // emitted a structurally invalid op list — the run stops at the
 // offending reference so one bad composition fails one sweep point,
-// never the process.
+// never the process. The trackers are complete once run returns, on
+// every path out, a panic included.
 func (s *SimState) run(src memtrace.Source, n int, pol ResizePolicy) (instrs, steps uint64, err error) {
-	st := newStepper(s.design, src, n, pol, s.ops)
+	st := newStepper(s.design, src, n, pol, s.ops, s.offT, s.stkT)
 	defer st.close()
 	for st.next() {
-		applyOps(st.out.Ops, s.offT, s.stkT)
-		if st.resized {
-			applyOps(st.trans, s.offT, s.stkT)
-		}
 	}
 	s.ops = st.out.Ops
 	return st.instrs, st.pos, st.err

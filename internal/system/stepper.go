@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"fpcache/internal/dcache"
+	"fpcache/internal/dram"
 	"fpcache/internal/fault"
 	"fpcache/internal/memtrace"
 )
@@ -20,10 +21,16 @@ import (
 // A stepper with a long budget, built while a P is idle, reads src
 // through a feed (feed.go). Whoever builds a stepper closes it, on
 // every path out.
+//
+// A functional stepper also replays each step's ops, then the
+// transition's, on its row trackers: inline without a feed, or on the
+// feed's producer, which close waits for. A timing stepper has no
+// trackers; its caller takes the ops from out and trans.
 type stepper struct {
-	src    memtrace.Source
-	feed   *feed
-	design dcache.Design
+	src        memtrace.Source
+	feed       *feed
+	design     dcache.Design
+	offT, stkT *dram.Tracker
 	// left is the record budget (math.MaxUint64 drains the source);
 	// pos the number of records stepped.
 	left, pos uint64
@@ -49,15 +56,16 @@ type stepper struct {
 }
 
 // newStepper steps up to n records of src (n <= 0 drains it) through
-// design with Access scratch ops. Resizing is on only for a Resizable
-// design under an enabled policy. The caller must close the stepper.
-func newStepper(design dcache.Design, src memtrace.Source, n int, pol ResizePolicy, ops []dcache.Op) stepper {
-	s := stepper{src: src, design: design, left: math.MaxUint64, out: dcache.Outcome{Ops: ops}}
+// design with Access scratch ops, replaying the ops on offT and stkT
+// unless they are nil. Resizing is on only for a Resizable design
+// under an enabled policy. The caller must close the stepper.
+func newStepper(design dcache.Design, src memtrace.Source, n int, pol ResizePolicy, ops []dcache.Op, offT, stkT *dram.Tracker) stepper {
+	s := stepper{src: src, design: design, offT: offT, stkT: stkT, left: math.MaxUint64, out: dcache.Outcome{Ops: ops}}
 	if n > 0 {
 		s.left = uint64(n)
 	}
 	if wantFeed(s.left, runningSteppers.Add(1)) {
-		s.feed = newFeed(src, s.left)
+		s.feed = newFeed(src, s.left, offT, stkT)
 		s.src = s.feed
 	}
 	if rz, ok := design.(Resizable); ok && policyPeriod(pol) > 0 {
@@ -91,15 +99,30 @@ func (s *stepper) next() bool {
 			return false
 		}
 	}
+	s.track(s.out.Ops)
 	s.resized = false
 	if s.rz != nil && s.pos%s.period == 0 {
 		if frac, fire := s.pol.Decide(int(s.pos/s.period-1), telemetryOf(s.design, s.part, s.pos)); fire {
 			s.trans = s.rz.Resize(frac, s.trans[:0])
 			s.err = validateOps(s.design, s.trans, "resize transition")
-			s.resized = s.err == nil
+			if s.resized = s.err == nil; s.resized {
+				s.track(s.trans)
+			}
 		}
 	}
 	return true
+}
+
+// track replays valid ops on the row trackers, through the feed when
+// there is one.
+func (s *stepper) track(ops []dcache.Op) {
+	switch {
+	case s.offT == nil:
+	case s.feed != nil:
+		s.feed.keep(ops)
+	default:
+		applyOps(ops, s.offT, s.stkT)
+	}
 }
 
 // close stops the stepper's feed, if it has one, and leaves the count

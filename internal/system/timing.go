@@ -339,7 +339,7 @@ func RunTiming(design dcache.Design, src memtrace.Source, cfg TimingConfig) (Tim
 		},
 	}
 	dm := &demux{
-		st:     newStepper(design, src, cfg.MaxRefs, cfg.Resize, ops),
+		st:     newStepper(design, src, cfg.MaxRefs, cfg.Resize, ops, nil, nil),
 		queues: make([]coreQueue, cfg.Cores),
 		// Resize traffic is pure background: nothing gates on it, and
 		// its record returns to the pool when the last op lands.
@@ -404,7 +404,7 @@ func warmTiming(design dcache.Design, src memtrace.Source, n int) ([]dcache.Op, 
 	if n <= 0 {
 		return nil, nil
 	}
-	st := newStepper(design, src, n, nil, nil)
+	st := newStepper(design, src, n, nil, nil, nil, nil)
 	defer st.close()
 	for st.next() {
 	}
