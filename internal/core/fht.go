@@ -135,10 +135,6 @@ type stEntry struct {
 type ST struct {
 	arr  *sram.SetAssoc[stEntry]
 	sets int
-
-	// Corrections counts second accesses to bypassed pages — the
-	// singleton underpredictions the ST repairs.
-	Corrections uint64
 }
 
 // NewST builds the table.
@@ -185,7 +181,6 @@ func (s *ST) Check(pageIdx uint64, offset int) (pc memtrace.PC, origOffset int, 
 	}
 	v := e.Value
 	s.arr.Invalidate(set, tag)
-	s.Corrections++
 	return v.pc, v.offset, true
 }
 

@@ -15,7 +15,7 @@ import (
 // also where the layout's version const lives (dcache.SnapshotVersion);
 // the fplint snapmeta analyzer pins the serialized structs here.
 //
-//fplint:snapfields 0xc63aaa61
+//fplint:snapfields 0x3ef7d4e9
 
 // Save serializes the FHT: table contents with LRU state, and the
 // query/cold/update counters.
@@ -36,11 +36,9 @@ func (f *FHT) Load(r *snap.Reader) error {
 	return f.arr.Load(r, func(sr *snap.Reader, v *uint64) { *v = sr.U64() })
 }
 
-// Save serializes the ST: table contents with LRU state, and the
-// correction counter.
+// Save serializes the ST: table contents with LRU state.
 func (s *ST) Save(w *snap.Writer) {
 	w.Tag("st")
-	w.U64(s.Corrections)
 	s.arr.Save(w, func(sw *snap.Writer, v *stEntry) {
 		sw.U64(uint64(v.pc))
 		sw.I64(int64(v.offset))
@@ -50,7 +48,6 @@ func (s *ST) Save(w *snap.Writer) {
 // Load restores a snapshot written by Save.
 func (s *ST) Load(r *snap.Reader) error {
 	r.Expect("st")
-	s.Corrections = r.U64()
 	return s.arr.Load(r, func(sr *snap.Reader, v *stEntry) {
 		v.pc = memtrace.PC(sr.U64())
 		v.offset = int(sr.I64())

@@ -27,10 +27,12 @@ import (
 // invalidates old cache entries. The fplint snapmeta analyzer pins the
 // serialized structs' field layout to the fingerprint below; if it
 // fires, refresh the directive, and bump this const (with the codec)
-// only if the bytes the codec writes changed.
+// only if the bytes the codec writes changed. Version 3 dropped the
+// Singleton Table's correction counter, which duplicated the footprint
+// policy's STCorrections statistic.
 //
 //fplint:snapfields 0x21ff85e3
-const SnapshotVersion = 2
+const SnapshotVersion = 3
 
 // snapshotKind is the envelope kind of a standalone design snapshot.
 const snapshotKind = "fpcache-design"

@@ -25,15 +25,19 @@ import (
 // replays them on the trackers before it refills the slot. Slots come
 // back through one channel in the order they were returned, so the
 // trackers see the same op sequence as an inline replay.
+//
+// A timing run's demux moves further: its producer steps the stepper
+// itself (stepFeed), and the ring carries outcomes instead of records.
 const (
 	// feedMinRefs is the smallest budget that gains from a producer
-	// goroutine. Drains always qualify. Starting a functional run's
-	// feed costs 80-105 µs (the ring, the return buffers, the
-	// goroutine, waking an idle P), and in BenchmarkFeedBudget on a
-	// 2-vCPU Xeon, with the trackers on the producer, a run of 4k
-	// records is 16-34% slower with the feed, one of 8k between 3%
-	// slower and 7% faster, one of 16k 9-19% faster, and one of 32k
-	// 20-27% faster.
+	// goroutine. Drains always qualify. A SimState's first feed costs
+	// 85-105 µs to start, most of it allocating the buffers; each later
+	// one reuses them and costs 3-4 µs (the goroutine and waking an
+	// idle P). In BenchmarkFeedBudget on a 2-vCPU Xeon, which reuses
+	// one SimState, with the trackers on the producer, a run of 4k
+	// records is 10-40% slower with the feed, one of 8k between 7%
+	// slower and 11% faster, one of 16k about 24% faster, and one of
+	// 32k about 25% faster.
 	feedMinRefs = 8 << 10
 	// feedBatchLen records per ring slot, feedBatches slots per feed:
 	// a 96 KB ring, one channel handoff per side per batch, plus the
@@ -74,14 +78,116 @@ func wantFeed(budget uint64, running int64) bool {
 	return budget >= feedMinRefs && 2*running <= int64(runtime.GOMAXPROCS(0))
 }
 
-// feedBatch is one ring slot: n records the producer filled and, on
-// its way back, the tracker ops of the records the consumer stepped
-// before returning it.
+// slot is what a ring's slots are: a pointer to a batch that reports
+// whether it holds anything to hand over.
+type slot interface {
+	held() bool
+}
+
+// ring is the slot exchange both feeds share. Slots circulate through
+// two channels: the producer takes a slot from empty, fills it, and
+// sends it on full; the consumer receives each slot from full and
+// returns it to empty. Both channels hold every slot, so neither
+// handoff ever waits for room. The producer closes full when it is
+// done, or after recovering a panic, which it leaves in panicked, with
+// the stack of the goroutine that panicked, for the consumer to raise
+// again on its own goroutine.
+type ring[S slot] struct {
+	full, empty chan S
+	stop        chan struct{} // closed by close: the producer quits
+	exited      chan struct{} // closed by the producer on its way out
+
+	// panicked is written by the producer before it closes full and
+	// read by the consumer only after seeing full closed.
+	panicked *sweep.ForwardedPanic
+}
+
+// start puts every slot in empty and runs produce on a new goroutine.
+// produce keeps the slot it is filling in *cur, so that a panic hands
+// over what the slot holds before it is raised again.
+func (r *ring[S]) start(slots []S, produce func(cur *S)) {
+	r.full = make(chan S, len(slots))
+	r.empty = make(chan S, len(slots))
+	r.stop = make(chan struct{})
+	r.exited = make(chan struct{})
+	r.panicked = nil
+	for _, s := range slots {
+		r.empty <- s
+	}
+	go r.run(produce)
+}
+
+// run is the producer goroutine.
+func (r *ring[S]) run(produce func(cur *S)) {
+	defer close(r.exited)
+	var cur S
+	defer func() {
+		if p := recover(); p != nil {
+			// Hand over what was filled before the panic first, so the
+			// consumer steps it before it panics in turn.
+			r.panicked = &sweep.ForwardedPanic{Value: p, Stack: string(debug.Stack())}
+			if cur.held() {
+				r.send(&cur)
+			}
+		}
+		close(r.full)
+	}()
+	produce(&cur)
+}
+
+// take moves a slot from empty into *cur; false when close stopped the
+// ring first.
+func (r *ring[S]) take(cur *S) bool {
+	select {
+	case *cur = <-r.empty:
+		return true
+	case <-r.stop:
+		return false
+	}
+}
+
+// send hands *cur to the consumer and clears it; false when close
+// stopped the ring first.
+func (r *ring[S]) send(cur *S) bool {
+	select {
+	case r.full <- *cur:
+		var none S
+		*cur = none
+		return true
+	case <-r.stop:
+		return false
+	}
+}
+
+// recv waits for the next filled slot; false once the producer is
+// done. It raises the producer's panic, wrapped with its stack, once
+// every slot sent before it has been received.
+func (r *ring[S]) recv() (S, bool) {
+	b, ok := <-r.full
+	if !ok && r.panicked != nil {
+		panic(r.panicked)
+	}
+	return b, ok
+}
+
+// close stops the producer and waits for it to exit, so no goroutine
+// outlives the run and the source is left to the caller.
+func (r *ring[S]) close() {
+	close(r.stop)
+	<-r.exited
+}
+
+// feedBatch is one record ring slot: n records the producer filled
+// and, on its way back, the tracker ops of the records the consumer
+// stepped before returning it.
 type feedBatch struct {
 	recs [feedBatchLen]memtrace.Record
 	n    int
 	ops  []trackOp
 }
+
+// held implements slot.
+func (b *feedBatch) held() bool { return b != nil && b.n > 0 }
 
 // trackOp is the part of a dcache.Op a row tracker reads, in 16 bytes
 // instead of 24. An op moves at most one page, so its byte count fits
@@ -93,94 +199,69 @@ type trackOp struct {
 	offChip bool
 }
 
-// feed is the consumer side of the ring; it implements memtrace.Source
-// for the stepper. Slots circulate through two channels: the producer
-// takes a slot from empty, fills it, and sends it on full; the consumer
-// copies each slot it receives into buf and returns it to empty at
-// once. Reading the records one by one straight from the slot would
-// pull every cache line across cores in the middle of Design.Access;
-// the bulk copy streams them in one go. The returned slot carries, in
-// its ops, the tracker ops the consumer collected since its previous
-// refill, and the producer replays them on offT and stkT when it takes
-// the slot from empty; a feed without trackers carries none. The
-// producer closes full when it has read the budget, when the source
-// ends, or after recovering a panic from the source, which it leaves
-// in panicked, with the stack of the goroutine that panicked, for the
-// consumer to raise again on its own goroutine.
+// feed is the record ring with its consumer side; it implements
+// memtrace.Source for the stepper. The consumer copies each slot it
+// receives into buf and returns it at once. Reading the records one by
+// one straight from the slot would pull every cache line across cores
+// in the middle of Design.Access; the bulk copy streams them in one
+// go. The returned slot carries, in its ops, the tracker ops the
+// consumer collected since its previous refill, and the producer
+// replays them on offT and stkT when it takes the slot from empty; a
+// feed without trackers carries none. The producer closes the ring
+// when it has read the budget, when the source ends, or after
+// recovering a panic from the source.
+//
+// A feed outlives its stepper: a SimState keeps one for all its
+// steppers, so its buffers are allocated once, and start readies it
+// for the next.
 type feed struct {
-	full, empty chan *feedBatch
-	stop        chan struct{} // closed by close: the producer quits
-	exited      chan struct{} // closed by the producer on its way out
+	ring[*feedBatch]
 	// offT and stkT are the row trackers the returned ops replay on,
-	// nil in a timing run. The producer owns them until it exits; then
-	// close replays what is left. They sit with the fields neither side
-	// writes: the consumer writes the fields below on every record, and
-	// a reader of the same cache line would pull it across cores.
+	// nil in a timing warmup. The producer owns them until it exits;
+	// then close replays what is left. They sit apart from buf, i, n
+	// and ops, which the consumer writes on every record: a reader of
+	// the same cache line would pull it across cores.
 	offT, stkT *dram.Tracker
+	slots      [feedBatches]feedBatch
 
 	buf  [feedBatchLen]memtrace.Record
 	i, n int
 	// ops collects the ops of the records stepped since the last
 	// refill.
 	ops []trackOp
-
-	// panicked is written by the producer before it closes full and
-	// read by the consumer only after seeing full closed.
-	panicked *sweep.ForwardedPanic
 }
 
-// newFeed starts a producer reading up to budget records of src and
-// replaying the returned ops on offT and stkT (nil for none).
-func newFeed(src memtrace.Source, budget uint64, offT, stkT *dram.Tracker) *feed {
-	// Both channels hold every slot, so neither handoff ever waits
-	// for room.
-	f := &feed{
-		full:   make(chan *feedBatch, feedBatches),
-		empty:  make(chan *feedBatch, feedBatches),
-		stop:   make(chan struct{}),
-		exited: make(chan struct{}),
-		offT:   offT,
-		stkT:   stkT,
-	}
-	if offT != nil {
+// start readies f for a new stepper and starts a producer reading up
+// to budget records of src and replaying the returned ops on offT and
+// stkT (nil for none). Every buffer is f's own from an earlier start,
+// or allocated now.
+func (f *feed) start(src memtrace.Source, budget uint64, offT, stkT *dram.Tracker) {
+	f.offT, f.stkT = offT, stkT
+	f.i, f.n = 0, 0
+	if offT != nil && f.ops == nil {
 		f.ops = make([]trackOp, 0, feedOpsCap)
 	}
-	ring := make([]feedBatch, feedBatches)
-	for i := range ring {
-		if offT != nil {
-			ring[i].ops = make([]trackOp, 0, feedOpsCap)
+	f.ops = f.ops[:0]
+	var slots [feedBatches]*feedBatch
+	for i := range f.slots {
+		b := &f.slots[i]
+		if offT != nil && b.ops == nil {
+			b.ops = make([]trackOp, 0, feedOpsCap)
 		}
-		f.empty <- &ring[i]
+		b.ops = b.ops[:0]
+		slots[i] = b
 	}
-	go f.produce(src, budget)
-	return f
+	f.ring.start(slots[:], func(cur **feedBatch) { f.produce(src, budget, cur) })
 }
 
 // produce fills ring slots from src until the budget is read, the
 // source ends, or close stops it.
-func (f *feed) produce(src memtrace.Source, budget uint64) {
-	defer close(f.exited)
-	var b *feedBatch
-	defer func() {
-		if p := recover(); p != nil {
-			// Hand over the records read before the panic first, so
-			// the consumer steps them before it panics in turn.
-			f.panicked = &sweep.ForwardedPanic{Value: p, Stack: string(debug.Stack())}
-			if b != nil && b.n > 0 {
-				f.send(b)
-			}
-		}
-		close(f.full)
-	}()
-	for budget > 0 {
-		select {
-		case b = <-f.empty:
-			b.ops = f.replay(b.ops)
-		case <-f.stop:
-			return
-		}
-		want := min(budget, feedBatchLen)
+func (f *feed) produce(src memtrace.Source, budget uint64, cur **feedBatch) {
+	for budget > 0 && f.take(cur) {
+		b := *cur
 		b.n = 0
+		b.ops = f.replay(b.ops)
+		want := min(budget, feedBatchLen)
 		for uint64(b.n) < want {
 			rec, ok := src.Next()
 			if !ok {
@@ -191,21 +272,9 @@ func (f *feed) produce(src memtrace.Source, budget uint64) {
 		}
 		budget -= uint64(b.n)
 		ended := uint64(b.n) < want
-		if b.n > 0 && !f.send(b) || ended {
+		if b.n > 0 && !f.send(cur) || ended {
 			return
 		}
-		b = nil
-	}
-}
-
-// send hands a filled slot to the consumer; false when close stopped
-// the feed first.
-func (f *feed) send(b *feedBatch) bool {
-	select {
-	case f.full <- b:
-		return true
-	case <-f.stop:
-		return false
 	}
 }
 
@@ -224,11 +293,8 @@ func (f *feed) Next() (memtrace.Record, bool) {
 // it back. It raises the source's panic, wrapped with the producer's
 // stack, once the records before it are read.
 func (f *feed) refill() bool {
-	b, ok := <-f.full
+	b, ok := f.recv()
 	if !ok {
-		if f.panicked != nil {
-			panic(f.panicked)
-		}
 		return false
 	}
 	f.i, f.n = 0, copy(f.buf[:], b.recs[:b.n])
@@ -265,14 +331,12 @@ func (f *feed) replay(ops []trackOp) []trackOp {
 	return ops[:0]
 }
 
-// close stops the producer and waits for it to exit, so no goroutine
-// outlives the run and the source is left to the caller. Then it
-// replays the ops the producer did not: those of the slots still in
-// empty, in the order they were returned, and last the consumer's own,
-// so the trackers end the run as an inline replay leaves them.
+// close stops the producer and waits for it to exit. Then it replays
+// the ops the producer did not: those of the slots still in empty, in
+// the order they were returned, and last the consumer's own, so the
+// trackers end the run as an inline replay leaves them.
 func (f *feed) close() {
-	close(f.stop)
-	<-f.exited
+	f.ring.close()
 	for {
 		select {
 		case b := <-f.empty:
@@ -282,4 +346,152 @@ func (f *feed) close() {
 			return
 		}
 	}
+}
+
+// stepBatch is one slot of a timing run's outcome ring: n stepped
+// records, each with its tag lead time and op count, their ops back to
+// back in step order, and a mark on each step that resized.
+type stepBatch struct {
+	steps [feedBatchLen]queuedRec
+	n     int
+	// ops holds each step's ops and, right after a marked step's, its
+	// transition's.
+	ops   []dcache.Op
+	marks []stepMark
+	// err is the error stepping stopped on after the batch's last
+	// step, nil while it goes on; a rejected mark raises it at its
+	// step.
+	err error
+}
+
+// held implements slot.
+func (b *stepBatch) held() bool { return b != nil && (b.n > 0 || b.err != nil) }
+
+// stepMark marks the step at index at: its resize transition's nops
+// ops follow its own, or, with nops rejected, its transition failed
+// validation and stepping stopped after it.
+type stepMark struct {
+	at, nops int32
+}
+
+// rejected is the nops of a mark whose transition failed validation.
+const rejected = -1
+
+// add appends st's last step.
+func (b *stepBatch) add(st *stepper) {
+	b.steps[b.n] = queuedRec{rec: st.rec, tagCycles: int32(st.out.TagCycles), nops: int32(len(st.out.Ops))}
+	b.ops = append(b.ops, st.out.Ops...)
+	switch {
+	case st.resized:
+		b.marks = append(b.marks, stepMark{at: int32(b.n), nops: int32(len(st.trans))})
+		b.ops = append(b.ops, st.trans...)
+	case st.err != nil:
+		b.marks = append(b.marks, stepMark{at: int32(b.n), nops: rejected})
+	}
+	b.n++
+}
+
+// step is one stepped record as the demux queues it: the record with
+// its tag lead time and op count, its ops, and, when resized, its
+// resize transition's ops. err, when set, stopped stepping: after this
+// step if it was returned, before it if not.
+type step struct {
+	rec     queuedRec
+	ops     []dcache.Op
+	resized bool
+	trans   []dcache.Op
+	err     error
+}
+
+// stepFeed runs a timing run's stepper on a producer goroutine: src's
+// Next, Design.Access, outcome validation and the resize epochs all
+// run there, in trace order, and the ring carries the outcomes. The
+// consumer copies each slot it receives into batch in one go and
+// returns it at once, as the record feed does, then reads the steps
+// from its copy (next) as the demux drains them. The steps take 32 KB
+// per slot and in batch; each slot's ops and the batch's grow to the
+// most a batch has held, transitions included, and stay grown.
+type stepFeed struct {
+	ring[*stepBatch]
+	slots [feedBatches]stepBatch
+
+	batch stepBatch
+	// i, oi and mi are the next step, op and mark of batch to read.
+	i, oi, mi int
+}
+
+// startStepFeed starts a producer stepping st, which the producer owns
+// until close returns.
+func startStepFeed(st *stepper) *stepFeed {
+	f := new(stepFeed)
+	var slots [feedBatches]*stepBatch
+	for i := range f.slots {
+		slots[i] = &f.slots[i]
+	}
+	f.start(slots[:], func(cur **stepBatch) { f.produce(st, cur) })
+	return f
+}
+
+// produce steps st into ring slots until stepping stops or close stops
+// it.
+func (f *stepFeed) produce(st *stepper, cur **stepBatch) {
+	for f.take(cur) {
+		b := *cur
+		b.n, b.ops, b.marks, b.err = 0, b.ops[:0], b.marks[:0], nil
+		for b.n < feedBatchLen && st.next() {
+			b.add(st)
+		}
+		b.err = st.err
+		done := b.n < feedBatchLen || b.err != nil
+		if b.held() && !f.send(cur) || done {
+			return
+		}
+	}
+}
+
+// next reads the next step into s; false once stepping has stopped,
+// with s.err saying why (nil when the budget or the source ran out).
+// s's ops alias the consumer's batch until the next refill.
+//
+//fplint:hotpath
+func (f *stepFeed) next(s *step) bool {
+	b := &f.batch
+	if f.i == b.n && !f.refill() {
+		s.err = b.err
+		return false
+	}
+	s.rec = b.steps[f.i]
+	s.ops = b.ops[f.oi : f.oi+int(s.rec.nops)]
+	f.oi += int(s.rec.nops)
+	s.resized, s.err = false, nil
+	if f.mi < len(b.marks) && int(b.marks[f.mi].at) == f.i {
+		m := b.marks[f.mi]
+		f.mi++
+		if m.nops == rejected {
+			s.err = b.err
+		} else {
+			s.resized, s.trans = true, b.ops[f.oi:f.oi+int(m.nops)]
+			f.oi += int(m.nops)
+		}
+	}
+	f.i++
+	return true
+}
+
+// refill copies the next filled slot into batch and hands it back;
+// false when the producer is done, which it is once it has sent a
+// slot with an error. It raises the producer's panic, wrapped with its
+// stack, once the steps before it are read.
+func (f *stepFeed) refill() bool {
+	b, ok := f.recv()
+	if !ok {
+		return false
+	}
+	f.batch.n = copy(f.batch.steps[:], b.steps[:b.n])
+	f.batch.ops = append(f.batch.ops[:0], b.ops...)
+	f.batch.marks = append(f.batch.marks[:0], b.marks...)
+	f.batch.err = b.err
+	f.i, f.oi, f.mi = 0, 0, 0
+	f.empty <- b // never blocks: empty has room for every slot
+	return f.batch.n > 0
 }

@@ -89,6 +89,40 @@ func waitNoFeed(t *testing.T, what string, base int) {
 	}
 }
 
+// timingOutcome is what a feed test compares of one RunTiming: its
+// result, its error, and how many records the design stepped, which
+// places the stop.
+type timingOutcome struct {
+	Result  TimingResult
+	Err     string
+	Stepped uint64
+}
+
+// runTimingOn runs RunTiming on a fresh design from build and returns
+// its outcome.
+func runTimingOn(build func() dcache.Design, src memtrace.Source, cfg TimingConfig) timingOutcome {
+	d := build()
+	res, err := RunTiming(d, src, cfg)
+	return timingOutcome{Result: res, Err: fmt.Sprint(err), Stepped: d.Counters().Accesses()}
+}
+
+// timingFeedParity runs a timing point with the feed forced off, then
+// forced on, and fails unless both give the same outcome and the run
+// with the feed on leaves no producer behind. It returns the outcome.
+func timingFeedParity(t *testing.T, what string, run func() timingOutcome) timingOutcome {
+	t.Helper()
+	withFeed(t, -1)
+	off := run()
+	withFeed(t, 1)
+	base := runtime.NumGoroutine()
+	on := run()
+	waitNoFeed(t, what, base)
+	if !reflect.DeepEqual(off, on) {
+		t.Errorf("%s: timing outcomes differ\nfeed off: %s\nfeed on:  %s", what, testutil.AsJSON(t, off), testutil.AsJSON(t, on))
+	}
+	return off
+}
+
 // TestFeedGate pins when a stepper reads through a feed: never below
 // feedMinRefs, always for a drain while a P is idle, never once the
 // running steppers fill every P, and always or never under the test
@@ -105,8 +139,9 @@ func TestFeedGate(t *testing.T) {
 		t.Errorf("%d running steppers at GOMAXPROCS %d still pipeline", procs, procs)
 	}
 	withFeed(t, 1)
-	st := newStepper(&dcache.Baseline{}, testutil.RandomTrace(10, 1, 1), 5, nil, nil, nil, nil)
-	if st.feed == nil {
+	var fd *feed
+	st := newStepper(&dcache.Baseline{}, testutil.RandomTrace(10, 1, 1), 5, nil, nil, nil, nil, &fd)
+	if st.feed == nil || st.feed != fd {
 		t.Error("forced-on hook left a stepper without its feed")
 	}
 	st.close()
@@ -215,7 +250,8 @@ func TestFeedParity(t *testing.T) {
 // reports the point as failed, with the stack of the source's Next,
 // and the process goes on; the producer does not outlive the point.
 // The failed point's row trackers hold what they hold without the
-// feed.
+// feed. A timing point fails the same way, after the same records,
+// when the panic reaches the demux's stepping producer.
 func TestFeedSourcePanicFailsPoint(t *testing.T) {
 	off := panicPointTrackers(t, -1)
 	withFeed(t, 1)
@@ -251,6 +287,28 @@ func TestFeedSourcePanicFailsPoint(t *testing.T) {
 		t.Errorf("failed point's row trackers: feed on %+v, off %+v, want 2500 off-chip bursts", on, off)
 	}
 	waitNoFeed(t, "panicking source", base)
+
+	// The same point in timing mode panics in the demux's stepping, on
+	// the producer when the feed is on: its warmup reads 2,000 records
+	// and the demux the next 500.
+	timingFeedParity(t, "panicking source, timing", func() timingOutcome {
+		d := &dcache.Baseline{}
+		_, errs := sweep.Map(1, 1, sweep.Policy{}, func(int) (TimingResult, error) {
+			src := &panickingSource{src: testutil.SynthTrace(t, synth.WebSearch, 1, 1.0/16), n: 2_500}
+			return RunTiming(d, src, TimingConfig{Cores: 4, MLP: 2, WarmupRefs: 2_000, MaxRefs: 4_000})
+		})
+		var pe *sweep.PanicError
+		if len(errs) != 1 || !errors.As(errs[0].Err, &pe) || pe.Value != "trace source failed" {
+			t.Fatalf("timing point failures %v, want the source's own panic recovered", errs)
+		}
+		if !strings.Contains(pe.Stack, "(*panickingSource).Next") {
+			t.Errorf("timing failure's stack does not name the source that panicked:\n%s", pe.Stack)
+		}
+		if n := d.Counters().Accesses(); n != 2_500 {
+			t.Errorf("the failing timing point stepped %d records before the panic, want 2500", n)
+		}
+		return timingOutcome{Err: fmt.Sprint(pe.Value), Stepped: d.Counters().Accesses()}
+	})
 }
 
 // warmMeasure is TestFeedSourcePanicFailsPoint's point: 2,000 records
@@ -281,6 +339,9 @@ func panicPointTrackers(t *testing.T, mode int) trackerStats {
 // producer is still far ahead of it, and closing the stepper leaves no
 // producer behind and no stepper counted. The functional runners' row
 // trackers hold the two valid outcomes' ops, as without the feed.
+// RunTiming, in its warmup, in its demux and on a rejected resize
+// transition, stops at the same record with the same result and error
+// whether the demux steps inline or on its producer.
 func TestFeedInvalidOpsStopsRun(t *testing.T) {
 	gen := func() memtrace.Source { return testutil.SynthTrace(t, synth.WebSearch, 1, 1.0/16) }
 	functional := func(mode int) (warm, measure trackerStats) {
@@ -301,11 +362,43 @@ func TestFeedInvalidOpsStopsRun(t *testing.T) {
 		t.Errorf("row trackers after the invalid outcome: feed on %+v and %+v, off %+v and %+v, want 2 off-chip bursts each",
 			onWarm, onMeasure, offWarm, offMeasure)
 	}
-	_, err := RunTiming(&badAtThird{}, gen(), TimingConfig{Cores: 4, MLP: 2, WarmupRefs: 100_000, MaxRefs: 100_000})
-	mustInvalidOps(t, "RunTiming warmup", err)
-	_, err = RunTiming(&badAtThird{}, gen(), TimingConfig{Cores: 4, MLP: 2, MaxRefs: 100_000})
-	mustInvalidOps(t, "RunTiming demux", err)
 	waitNoFeed(t, "invalid ops", base)
+
+	// An invalid outcome stops stepping before its record; a rejected
+	// resize transition stops it as soon as its boundary record is
+	// queued. The boundary falls on the last step of a ring slot, then
+	// mid-slot. With one core, every record is the one the core was
+	// pulling for, so a stop raised one step early or late would change
+	// how many records it issued: all before the rejected boundary, and
+	// not the boundary itself.
+	resizeAt := func(period, cores int) TimingConfig {
+		return TimingConfig{Cores: cores, MLP: 2, MaxRefs: 100_000, Resize: &ResizePlan{PeriodRefs: period, Fractions: []float64{0.5}}}
+	}
+	badOutcome := func() dcache.Design { return &badAtThird{} }
+	badTransition := func() dcache.Design { return &badResizable{} }
+	for _, tc := range []struct {
+		what      string
+		build     func() dcache.Design
+		cfg       TimingConfig
+		stop      string
+		stepped   uint64
+		oneCoreOf uint64 // records one core issues, 0 when not checked
+	}{
+		{"RunTiming warmup", badOutcome, TimingConfig{Cores: 4, MLP: 2, WarmupRefs: 100_000, MaxRefs: 100_000}, "outcome", 2, 0},
+		{"RunTiming demux", badOutcome, TimingConfig{Cores: 4, MLP: 2, MaxRefs: 100_000}, "outcome", 2, 0},
+		{"RunTiming demux, one core", badOutcome, TimingConfig{Cores: 1, MLP: 2, MaxRefs: 100_000}, "outcome", 2, 2},
+		{"transition at a slot's end", badTransition, resizeAt(feedBatchLen, 4), "resize transition", feedBatchLen, 0},
+		{"transition at a slot's end, one core", badTransition, resizeAt(feedBatchLen, 1), "resize transition", feedBatchLen, feedBatchLen - 1},
+		{"transition mid-slot, one core", badTransition, resizeAt(1_500, 1), "resize transition", 1_500, 1_499},
+	} {
+		out := timingFeedParity(t, tc.what, func() timingOutcome { return runTimingOn(tc.build, gen(), tc.cfg) })
+		if !strings.Contains(out.Err, fault.ErrInvalidOps.Error()) || !strings.Contains(out.Err, tc.stop) || out.Stepped != tc.stepped {
+			t.Errorf("%s: stopped on %q after %d records, want an invalid %s after %d", tc.what, out.Err, out.Stepped, tc.stop, tc.stepped)
+		}
+		if tc.oneCoreOf != 0 && out.Result.Refs != tc.oneCoreOf {
+			t.Errorf("%s: the core issued %d records, want %d", tc.what, out.Result.Refs, tc.oneCoreOf)
+		}
+	}
 }
 
 // gatedSource serves its first n records, then blocks in Next until
@@ -327,7 +420,9 @@ func (g *gatedSource) Next() (memtrace.Record, bool) {
 // TestFeedCloseWaitsForProducer: a run that stops early returns only
 // once its producer has left the source, even when the producer is
 // blocked inside the source's Next, so the caller owns the source
-// again when the run returns.
+// again when the run returns. RunTiming waits the same way, in its
+// warmup and in its demux, and then returns what it returns without
+// the feed.
 func TestFeedCloseWaitsForProducer(t *testing.T) {
 	withFeed(t, 1)
 	src := &gatedSource{src: testutil.SynthTrace(t, synth.WebSearch, 1, 1.0/16), n: feedBatchLen + 10, gate: make(chan struct{})}
@@ -340,11 +435,48 @@ func TestFeedCloseWaitsForProducer(t *testing.T) {
 	}
 	close(src.gate)
 	mustInvalidOps(t, "Warm", <-done)
+
+	// RunTiming's warmup stops early the same way. Its demux never
+	// stops before its producer does, so a demux whose producer is
+	// inside the source waits for it, and the run then ends as it does
+	// without the feed.
+	gated := func(open bool) *gatedSource {
+		g := &gatedSource{src: testutil.SynthTrace(t, synth.WebSearch, 1, 1.0/16), n: feedBatchLen + 10, gate: make(chan struct{})}
+		if open {
+			close(g.gate)
+		}
+		return g
+	}
+	for _, tc := range []struct {
+		what  string
+		build func() dcache.Design
+		cfg   TimingConfig
+	}{
+		{"RunTiming warmup", func() dcache.Design { return &badAtThird{} }, TimingConfig{Cores: 4, MLP: 2, WarmupRefs: 100_000, MaxRefs: 100_000}},
+		{"RunTiming demux", func() dcache.Design { return &dcache.Baseline{} }, TimingConfig{Cores: 4, MLP: 2, MaxRefs: 3 * feedBatchLen}},
+	} {
+		want := timingFeedParity(t, tc.what, func() timingOutcome { return runTimingOn(tc.build, gated(true), tc.cfg) })
+		withFeed(t, 1)
+		goroutines := runtime.NumGoroutine()
+		src := gated(false)
+		done := make(chan timingOutcome)
+		go func() { done <- runTimingOn(tc.build, src, tc.cfg) }()
+		select {
+		case out := <-done:
+			t.Fatalf("%s returned (%s) while its producer was still inside the source", tc.what, out.Err)
+		case <-time.After(50 * time.Millisecond):
+		}
+		close(src.gate)
+		if got := <-done; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s after the source blocked: %s, want %s", tc.what, testutil.AsJSON(t, got), testutil.AsJSON(t, want))
+		}
+		waitNoFeed(t, tc.what, goroutines)
+	}
 }
 
 // TestFeedCorruptTrace: a corrupt v2 trace replayed through the feed
 // fails with fault.ErrCorruptTrace after the same records as without
-// it.
+// it, in a functional and in a timing run.
 func TestFeedCorruptTrace(t *testing.T) {
 	var file bytes.Buffer
 	w := memtrace.NewWriterV2(&file)
@@ -377,6 +509,19 @@ func TestFeedCorruptTrace(t *testing.T) {
 	}
 	if bursts := off.OffChip.ReadBursts + off.OffChip.WriteBursts; off.Refs == 0 || off.Refs >= 40_000 || bursts != off.Refs {
 		t.Errorf("corrupt trace stopped after %d records with %d off-chip bursts; want a failure mid-file, one burst per record", off.Refs, bursts)
+	}
+
+	tm := timingFeedParity(t, "corrupt trace, timing", func() timingOutcome {
+		tr := memtrace.NewReader(bytes.NewReader(data))
+		out := runTimingOn(func() dcache.Design { return &dcache.Baseline{} }, tr, TimingConfig{Cores: 4, MLP: 2, WarmupRefs: 1_000})
+		if !errors.Is(tr.Err(), fault.ErrCorruptTrace) {
+			t.Fatalf("timing replay error %v, want fault.ErrCorruptTrace", tr.Err())
+		}
+		return out
+	})
+	if tm.Err != "<nil>" || tm.Stepped != off.Refs || tm.Result.Refs != off.Refs-1_000 {
+		t.Errorf("corrupt trace in timing mode stepped %d records and timed %d (%s); want the functional replay's %d, 1000 of them warmup",
+			tm.Stepped, tm.Result.Refs, tm.Err, off.Refs)
 	}
 }
 

@@ -37,6 +37,9 @@ type SimState struct {
 	// and the stepper hands it to the trackers before the next
 	// reference, so the steady-state loop allocates nothing.
 	ops []dcache.Op
+	// feed is the record feed every piped stepper of the state reads
+	// through, nil until the first one; its buffers outlive each run.
+	feed *feed
 }
 
 // warmStateKind is the snapshot envelope kind of a SimState.
@@ -61,7 +64,7 @@ const warmStateKind = "fpcache-warmstate"
 // and bump this const (with the codec) only if the bytes the codec
 // writes changed.
 //
-//fplint:snapfields 0xfbd84dcd
+//fplint:snapfields 0x1771c2ef
 const warmStateVersion = 6
 
 // NewSimState builds the functional run state for a design, with DRAM
@@ -93,7 +96,7 @@ func (s *SimState) SetPolicy(pol ResizePolicy) { s.pol = pol }
 // never the process. The trackers are complete once run returns, on
 // every path out, a panic included.
 func (s *SimState) run(src memtrace.Source, n int, pol ResizePolicy) (instrs, steps uint64, err error) {
-	st := newStepper(s.design, src, n, pol, s.ops, s.offT, s.stkT)
+	st := newStepper(s.design, src, n, pol, s.ops, s.offT, s.stkT, &s.feed)
 	defer st.close()
 	for st.next() {
 	}

@@ -18,9 +18,11 @@ import (
 // validates the transition. Callers differ only in where the ops go,
 // so every mode steps the same sequence by construction.
 //
-// A stepper with a long budget, built while a P is idle, reads src
-// through a feed (feed.go). Whoever builds a stepper closes it, on
-// every path out.
+// A stepper with a long budget, built while a P is idle, gets a
+// producer goroutine (feed.go): a functional or warmup stepper reads
+// src through a record feed, and the timing demux runs the whole
+// stepper on a producer of its own. Whoever builds a stepper closes
+// it, on every path out.
 //
 // A functional stepper also replays each step's ops, then the
 // transition's, on its row trackers: inline without a feed, or on the
@@ -31,6 +33,9 @@ type stepper struct {
 	feed       *feed
 	design     dcache.Design
 	offT, stkT *dram.Tracker
+	// piped is the idle-P gate's verdict when the stepper was built:
+	// whether it gets a producer goroutine.
+	piped bool
 	// left is the record budget (math.MaxUint64 drains the source);
 	// pos the number of records stepped.
 	left, pos uint64
@@ -58,14 +63,21 @@ type stepper struct {
 // newStepper steps up to n records of src (n <= 0 drains it) through
 // design with Access scratch ops, replaying the ops on offT and stkT
 // unless they are nil. Resizing is on only for a Resizable design
-// under an enabled policy. The caller must close the stepper.
-func newStepper(design dcache.Design, src memtrace.Source, n int, pol ResizePolicy, ops []dcache.Op, offT, stkT *dram.Tracker) stepper {
+// under an enabled policy. A piped stepper reads src through the feed
+// in *fd, which it allocates on first use; with fd nil, its caller
+// runs it on a producer instead. The caller must close the stepper.
+func newStepper(design dcache.Design, src memtrace.Source, n int, pol ResizePolicy, ops []dcache.Op, offT, stkT *dram.Tracker, fd **feed) stepper {
 	s := stepper{src: src, design: design, offT: offT, stkT: stkT, left: math.MaxUint64, out: dcache.Outcome{Ops: ops}}
 	if n > 0 {
 		s.left = uint64(n)
 	}
-	if wantFeed(s.left, runningSteppers.Add(1)) {
-		s.feed = newFeed(src, s.left, offT, stkT)
+	s.piped = wantFeed(s.left, runningSteppers.Add(1))
+	if s.piped && fd != nil {
+		if *fd == nil {
+			*fd = new(feed)
+		}
+		s.feed = *fd
+		s.feed.start(src, s.left, offT, stkT)
 		s.src = s.feed
 	}
 	if rz, ok := design.(Resizable); ok && policyPeriod(pol) > 0 {

@@ -30,10 +30,10 @@ type TimingConfig struct {
 	// non-nil (used by the Figure 1 opportunity study).
 	OffChip, Stacked *dram.Config
 	// Resize decides run-time partition resizes (a static *ResizePlan
-	// or the adaptive AdaptivePolicy). Driven at demux drain time in
-	// trace order — the same measured-reference epoch boundaries, with
-	// the same cumulative telemetry, RunFunctionalResized uses — so
-	// counters stay byte-identical to a functional run; the
+	// or the adaptive AdaptivePolicy). Driven by the demux's stepper
+	// in trace order — the same measured-reference epoch boundaries,
+	// with the same cumulative telemetry, RunFunctionalResized uses —
+	// so counters stay byte-identical to a functional run; the
 	// transition's DRAM operations dispatch into the controllers as
 	// background traffic at the cycle the boundary reference is
 	// drained.
@@ -220,8 +220,10 @@ func (q *coreQueue) advance(pool *chunkPool) bool {
 }
 
 // demux fans one interleaved trace out to per-core queues, performing
-// the design's functional access in trace order as records are
-// drained from the source. Pinning functional state transitions to
+// the design's functional access in trace order: as records are
+// drained from the source, or ahead of the drain on a producer
+// goroutine (stepFeed), whose outcomes are queued as they are drained.
+// Pinning functional state transitions to
 // trace order — rather than the timing-dependent order in which cores
 // issue — makes hit/miss counters and traffic independent of
 // controller scheduling: a controller rework cannot perturb
@@ -240,7 +242,12 @@ func (q *coreQueue) advance(pool *chunkPool) bool {
 // queued/highWater counters measure that cost per run
 // (TimingResult.QueueHighWater).
 type demux struct {
-	st     stepper
+	// st steps on this goroutine when feed is nil. Otherwise feed's
+	// producer owns it until close returns, and the demux reads the
+	// outcomes from feed. It is allocated apart from the fields below,
+	// which the consumer writes on every record.
+	st     *stepper
+	feed   *stepFeed
 	queues []coreQueue
 	// pool holds the queues' free chunks.
 	pool chunkPool
@@ -249,10 +256,34 @@ type demux struct {
 	// highWater its run maximum.
 	queued    int
 	highWater int
+	// err is the error stepping stopped on, once the demux has drained
+	// the step it stopped at.
+	err error
 
 	// onResize dispatches a resize transition's ops, which the stepper
 	// hands over at the boundary reference's drain.
 	onResize func(ops []dcache.Op)
+}
+
+// newDemux steps up to n records of src through design for cores
+// queues, on a producer goroutine if the idle-P gate gives the stepper
+// one. The caller must close the demux.
+func newDemux(design dcache.Design, src memtrace.Source, n int, pol ResizePolicy, ops []dcache.Op, cores int, onResize func([]dcache.Op)) *demux {
+	st := newStepper(design, src, n, pol, ops, nil, nil, nil)
+	d := &demux{st: &st, queues: make([]coreQueue, cores), onResize: onResize}
+	if st.piped {
+		d.feed = startStepFeed(d.st)
+	}
+	return d
+}
+
+// close stops the demux's producer, if it has one, and waits for it,
+// so the stepper and the design are the caller's again.
+func (d *demux) close() {
+	if d.feed != nil {
+		d.feed.close()
+	}
+	d.st.close()
 }
 
 // pull returns the given core's next record with its precomputed
@@ -260,7 +291,7 @@ type demux struct {
 // core's next pull.
 func (d *demux) pull(core int) (queuedRec, []dcache.Op, bool) {
 	q := &d.queues[core]
-	for d.st.err == nil {
+	for d.err == nil {
 		if r, ops, ok := q.pop(); ok {
 			d.queued--
 			return r, ops, true
@@ -268,19 +299,48 @@ func (d *demux) pull(core int) (queuedRec, []dcache.Op, bool) {
 		if q.advance(&d.pool) {
 			continue
 		}
-		if !d.st.next() {
+		if !d.drain() {
 			break
-		}
-		rec := d.st.rec
-		d.queues[int(rec.Core)%len(d.queues)].push(&d.pool, rec, d.st.out.TagCycles, d.st.out.Ops)
-		if d.queued++; d.queued > d.highWater {
-			d.highWater = d.queued
-		}
-		if d.st.resized {
-			d.onResize(d.st.trans)
 		}
 	}
 	return queuedRec{}, nil, false
+}
+
+// drain steps the next record, queues it on its core and dispatches
+// its resize transition, if any. It reports false once stepping has
+// stopped; d.err then says why, nil when the budget or the source ran
+// out. A rejected transition sets d.err once its step is queued.
+func (d *demux) drain() bool {
+	var s step
+	if d.feed != nil {
+		if !d.feed.next(&s) {
+			d.err = s.err
+			return false
+		}
+	} else {
+		st := d.st
+		if !st.next() {
+			d.err = st.err
+			return false
+		}
+		s = step{
+			rec:     queuedRec{rec: st.rec, tagCycles: int32(st.out.TagCycles), nops: int32(len(st.out.Ops))},
+			ops:     st.out.Ops,
+			resized: st.resized,
+			trans:   st.trans,
+			err:     st.err,
+		}
+	}
+	rec := s.rec.rec
+	d.queues[int(rec.Core)%len(d.queues)].push(&d.pool, rec, int(s.rec.tagCycles), s.ops)
+	if d.queued++; d.queued > d.highWater {
+		d.highWater = d.queued
+	}
+	if s.resized {
+		d.onResize(s.trans)
+	}
+	d.err = s.err
+	return true
 }
 
 // RunTiming executes an event-driven simulation of the pod: cores
@@ -325,7 +385,14 @@ func RunTiming(design dcache.Design, src memtrace.Source, cfg TimingConfig) (Tim
 	if err != nil {
 		return TimingResult{Design: design.Name()}, err
 	}
+	// The baselines are read before the demux may start a producer
+	// that steps the design, and the totals after close has joined it.
 	ctr0 := design.Counters()
+	part := partitionExtra(design)
+	var pt0 dcache.PartitionStats
+	if part != nil {
+		pt0 = part()
+	}
 
 	eng := &sim.Engine{}
 	r := &timingRun{
@@ -338,42 +405,14 @@ func RunTiming(design dcache.Design, src memtrace.Source, cfg TimingConfig) (Tim
 			ReadLatency: stats.NewHistogram(stats.LatencyBounds()...),
 		},
 	}
-	dm := &demux{
-		st:     newStepper(design, src, cfg.MaxRefs, cfg.Resize, ops, nil, nil),
-		queues: make([]coreQueue, cfg.Cores),
-		// Resize traffic is pure background: nothing gates on it, and
-		// its record returns to the pool when the last op lands.
-		onResize: func(ops []dcache.Op) {
-			fl := r.take(&r.freeResize, ops, 0)
-			fl.read, fl.done = false, noop
-			fl.dispatch()
-		},
-	}
-	defer dm.st.close()
-	part := partitionExtra(design)
-	var pt0 dcache.PartitionStats
-	if part != nil {
-		pt0 = part()
-	}
-
-	// A core's pull takes a pooled in-flight record owning a copy of
-	// the outcome, which travels to issue as the core's record payload,
-	// so the record/ops association is structural.
-	cores := make([]*cpu.Core[*inflight], cfg.Cores)
-	for i := range cores {
-		id := i
-		pull := func() (memtrace.Record, *inflight, bool) {
-			qr, ops, ok := dm.pull(id)
-			if !ok {
-				return memtrace.Record{}, nil, false
-			}
-			return qr.rec, r.take(&r.free, ops, int(qr.tagCycles)), true
-		}
-		cores[i] = cpu.New(id, cfg.MLP, eng, pull, r.issue)
-		cores[i].Start()
-	}
-
-	eng.Run(nil)
+	// Resize traffic is pure background: nothing gates on it, and its
+	// record returns to the pool when the last op lands.
+	dm := newDemux(design, src, cfg.MaxRefs, cfg.Resize, ops, cfg.Cores, func(ops []dcache.Op) {
+		fl := r.take(&r.freeResize, ops, 0)
+		fl.read, fl.done = false, noop
+		fl.dispatch()
+	})
+	cores := r.simulate(dm, cfg.MLP)
 
 	res := r.res
 	for _, c := range cores {
@@ -398,13 +437,40 @@ func RunTiming(design dcache.Design, src memtrace.Source, cfg TimingConfig) (Tim
 	return res, dm.st.err
 }
 
+// simulate runs one core per demux queue, each with mlp outstanding
+// reads, until every core has drained the demux, and returns the
+// cores. It closes the demux on every path out, so its producer has
+// exited when simulate returns or panics.
+func (r *timingRun) simulate(dm *demux, mlp int) []*cpu.Core[*inflight] {
+	defer dm.close()
+	// A core's pull takes a pooled in-flight record owning a copy of
+	// the outcome, which travels to issue as the core's record payload,
+	// so the record/ops association is structural.
+	cores := make([]*cpu.Core[*inflight], len(dm.queues))
+	for i := range cores {
+		id := i
+		pull := func() (memtrace.Record, *inflight, bool) {
+			qr, ops, ok := dm.pull(id)
+			if !ok {
+				return memtrace.Record{}, nil, false
+			}
+			return qr.rec, r.take(&r.free, ops, int(qr.tagCycles)), true
+		}
+		cores[i] = cpu.New(id, mlp, r.eng, pull, r.issue)
+		cores[i].Start()
+	}
+	r.eng.Run(nil)
+	return cores
+}
+
 // warmTiming steps RunTiming's functional warmup of n records (none
 // when n <= 0) and returns the Access scratch it grew.
 func warmTiming(design dcache.Design, src memtrace.Source, n int) ([]dcache.Op, error) {
 	if n <= 0 {
 		return nil, nil
 	}
-	st := newStepper(design, src, n, nil, nil, nil, nil)
+	var fd *feed
+	st := newStepper(design, src, n, nil, nil, nil, nil, &fd)
 	defer st.close()
 	for st.next() {
 	}
