@@ -359,34 +359,29 @@ type stepBatch struct {
 	ops   []dcache.Op
 	marks []stepMark
 	// err is the error stepping stopped on after the batch's last
-	// step, nil while it goes on; a rejected mark raises it at its
-	// step.
-	err error
+	// step, nil while it goes on. errAtLast says the last step raised
+	// it (a rejected transition), so the demux stops once that step is
+	// queued; otherwise (an invalid outcome) it stops on the next drain.
+	err       error
+	errAtLast bool
 }
 
 // held implements slot.
 func (b *stepBatch) held() bool { return b != nil && (b.n > 0 || b.err != nil) }
 
-// stepMark marks the step at index at: its resize transition's nops
-// ops follow its own, or, with nops rejected, its transition failed
-// validation and stepping stopped after it.
+// stepMark marks the step at index at, whose resize transition's nops
+// ops follow its own.
 type stepMark struct {
 	at, nops int32
 }
-
-// rejected is the nops of a mark whose transition failed validation.
-const rejected = -1
 
 // add appends st's last step.
 func (b *stepBatch) add(st *stepper) {
 	b.steps[b.n] = queuedRec{rec: st.rec, tagCycles: int32(st.out.TagCycles), nops: int32(len(st.out.Ops))}
 	b.ops = append(b.ops, st.out.Ops...)
-	switch {
-	case st.resized:
+	if st.resized {
 		b.marks = append(b.marks, stepMark{at: int32(b.n), nops: int32(len(st.trans))})
 		b.ops = append(b.ops, st.trans...)
-	case st.err != nil:
-		b.marks = append(b.marks, stepMark{at: int32(b.n), nops: rejected})
 	}
 	b.n++
 }
@@ -437,9 +432,13 @@ func startStepFeed(st *stepper) *stepFeed {
 func (f *stepFeed) produce(st *stepper, cur **stepBatch) {
 	for f.take(cur) {
 		b := *cur
-		b.n, b.ops, b.marks, b.err = 0, b.ops[:0], b.marks[:0], nil
+		b.n, b.ops, b.marks, b.err, b.errAtLast = 0, b.ops[:0], b.marks[:0], nil, false
 		for b.n < feedBatchLen && st.next() {
 			b.add(st)
+			if st.err != nil {
+				b.errAtLast = true
+				break
+			}
 		}
 		b.err = st.err
 		done := b.n < feedBatchLen || b.err != nil
@@ -465,14 +464,13 @@ func (f *stepFeed) next(s *step) bool {
 	f.oi += int(s.rec.nops)
 	s.resized, s.err = false, nil
 	if f.mi < len(b.marks) && int(b.marks[f.mi].at) == f.i {
-		m := b.marks[f.mi]
+		nops := int(b.marks[f.mi].nops)
 		f.mi++
-		if m.nops == rejected {
-			s.err = b.err
-		} else {
-			s.resized, s.trans = true, b.ops[f.oi:f.oi+int(m.nops)]
-			f.oi += int(m.nops)
-		}
+		s.resized, s.trans = true, b.ops[f.oi:f.oi+nops]
+		f.oi += nops
+	}
+	if b.errAtLast && f.i == b.n-1 {
+		s.err = b.err
 	}
 	f.i++
 	return true
@@ -490,7 +488,7 @@ func (f *stepFeed) refill() bool {
 	f.batch.n = copy(f.batch.steps[:], b.steps[:b.n])
 	f.batch.ops = append(f.batch.ops[:0], b.ops...)
 	f.batch.marks = append(f.batch.marks[:0], b.marks...)
-	f.batch.err = b.err
+	f.batch.err, f.batch.errAtLast = b.err, b.errAtLast
 	f.i, f.oi, f.mi = 0, 0, 0
 	f.empty <- b // never blocks: empty has room for every slot
 	return f.batch.n > 0

@@ -90,8 +90,8 @@ func waitNoFeed(t *testing.T, what string, base int) {
 }
 
 // timingOutcome is what a feed test compares of one RunTiming: its
-// result, its error, and how many records the design stepped, which
-// places the stop.
+// result, its error's message, and how many records the design
+// stepped, which places the stop.
 type timingOutcome struct {
 	Result  TimingResult
 	Err     string
@@ -99,10 +99,16 @@ type timingOutcome struct {
 }
 
 // runTimingOn runs RunTiming on a fresh design from build and returns
-// its outcome.
-func runTimingOn(build func() dcache.Design, src memtrace.Source, cfg TimingConfig) timingOutcome {
+// its outcome. It fails the test unless the run's error wraps want, or,
+// with want nil, unless the run returns no error: a producer that
+// re-formatted the error would lose the sentinel fault.ClassOf reads.
+func runTimingOn(t *testing.T, build func() dcache.Design, src memtrace.Source, cfg TimingConfig, want error) timingOutcome {
+	t.Helper()
 	d := build()
 	res, err := RunTiming(d, src, cfg)
+	if !errors.Is(err, want) {
+		t.Errorf("RunTiming returned %v, want an error wrapping %v", err, want)
+	}
 	return timingOutcome{Result: res, Err: fmt.Sprint(err), Stepped: d.Counters().Accesses()}
 }
 
@@ -139,10 +145,9 @@ func TestFeedGate(t *testing.T) {
 		t.Errorf("%d running steppers at GOMAXPROCS %d still pipeline", procs, procs)
 	}
 	withFeed(t, 1)
-	var fd *feed
-	st := newStepper(&dcache.Baseline{}, testutil.RandomTrace(10, 1, 1), 5, nil, nil, nil, nil, &fd)
-	if st.feed == nil || st.feed != fd {
-		t.Error("forced-on hook left a stepper without its feed")
+	st, piped := newStepper(&dcache.Baseline{}, testutil.RandomTrace(10, 1, 1), 5, nil, nil, nil, nil)
+	if !piped {
+		t.Error("forced-on hook left a stepper without a producer")
 	}
 	st.close()
 	feedOverride = -1
@@ -391,8 +396,8 @@ func TestFeedInvalidOpsStopsRun(t *testing.T) {
 		{"transition at a slot's end, one core", badTransition, resizeAt(feedBatchLen, 1), "resize transition", feedBatchLen, feedBatchLen - 1},
 		{"transition mid-slot, one core", badTransition, resizeAt(1_500, 1), "resize transition", 1_500, 1_499},
 	} {
-		out := timingFeedParity(t, tc.what, func() timingOutcome { return runTimingOn(tc.build, gen(), tc.cfg) })
-		if !strings.Contains(out.Err, fault.ErrInvalidOps.Error()) || !strings.Contains(out.Err, tc.stop) || out.Stepped != tc.stepped {
+		out := timingFeedParity(t, tc.what, func() timingOutcome { return runTimingOn(t, tc.build, gen(), tc.cfg, fault.ErrInvalidOps) })
+		if !strings.Contains(out.Err, tc.stop) || out.Stepped != tc.stepped {
 			t.Errorf("%s: stopped on %q after %d records, want an invalid %s after %d", tc.what, out.Err, out.Stepped, tc.stop, tc.stepped)
 		}
 		if tc.oneCoreOf != 0 && out.Result.Refs != tc.oneCoreOf {
@@ -451,16 +456,17 @@ func TestFeedCloseWaitsForProducer(t *testing.T) {
 		what  string
 		build func() dcache.Design
 		cfg   TimingConfig
+		err   error
 	}{
-		{"RunTiming warmup", func() dcache.Design { return &badAtThird{} }, TimingConfig{Cores: 4, MLP: 2, WarmupRefs: 100_000, MaxRefs: 100_000}},
-		{"RunTiming demux", func() dcache.Design { return &dcache.Baseline{} }, TimingConfig{Cores: 4, MLP: 2, MaxRefs: 3 * feedBatchLen}},
+		{"RunTiming warmup", func() dcache.Design { return &badAtThird{} }, TimingConfig{Cores: 4, MLP: 2, WarmupRefs: 100_000, MaxRefs: 100_000}, fault.ErrInvalidOps},
+		{"RunTiming demux", func() dcache.Design { return &dcache.Baseline{} }, TimingConfig{Cores: 4, MLP: 2, MaxRefs: 3 * feedBatchLen}, nil},
 	} {
-		want := timingFeedParity(t, tc.what, func() timingOutcome { return runTimingOn(tc.build, gated(true), tc.cfg) })
+		want := timingFeedParity(t, tc.what, func() timingOutcome { return runTimingOn(t, tc.build, gated(true), tc.cfg, tc.err) })
 		withFeed(t, 1)
 		goroutines := runtime.NumGoroutine()
 		src := gated(false)
 		done := make(chan timingOutcome)
-		go func() { done <- runTimingOn(tc.build, src, tc.cfg) }()
+		go func() { done <- runTimingOn(t, tc.build, src, tc.cfg, tc.err) }()
 		select {
 		case out := <-done:
 			t.Fatalf("%s returned (%s) while its producer was still inside the source", tc.what, out.Err)
@@ -513,13 +519,13 @@ func TestFeedCorruptTrace(t *testing.T) {
 
 	tm := timingFeedParity(t, "corrupt trace, timing", func() timingOutcome {
 		tr := memtrace.NewReader(bytes.NewReader(data))
-		out := runTimingOn(func() dcache.Design { return &dcache.Baseline{} }, tr, TimingConfig{Cores: 4, MLP: 2, WarmupRefs: 1_000})
+		out := runTimingOn(t, func() dcache.Design { return &dcache.Baseline{} }, tr, TimingConfig{Cores: 4, MLP: 2, WarmupRefs: 1_000}, nil)
 		if !errors.Is(tr.Err(), fault.ErrCorruptTrace) {
 			t.Fatalf("timing replay error %v, want fault.ErrCorruptTrace", tr.Err())
 		}
 		return out
 	})
-	if tm.Err != "<nil>" || tm.Stepped != off.Refs || tm.Result.Refs != off.Refs-1_000 {
+	if tm.Stepped != off.Refs || tm.Result.Refs != off.Refs-1_000 {
 		t.Errorf("corrupt trace in timing mode stepped %d records and timed %d (%s); want the functional replay's %d, 1000 of them warmup",
 			tm.Stepped, tm.Result.Refs, tm.Err, off.Refs)
 	}

@@ -96,8 +96,14 @@ func (s *SimState) SetPolicy(pol ResizePolicy) { s.pol = pol }
 // never the process. The trackers are complete once run returns, on
 // every path out, a panic included.
 func (s *SimState) run(src memtrace.Source, n int, pol ResizePolicy) (instrs, steps uint64, err error) {
-	st := newStepper(s.design, src, n, pol, s.ops, s.offT, s.stkT, &s.feed)
+	st, piped := newStepper(s.design, src, n, pol, s.ops, s.offT, s.stkT)
 	defer st.close()
+	if piped {
+		if s.feed == nil {
+			s.feed = new(feed)
+		}
+		st.readThrough(s.feed)
+	}
 	for st.next() {
 	}
 	s.ops = st.out.Ops

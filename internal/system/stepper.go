@@ -33,9 +33,6 @@ type stepper struct {
 	feed       *feed
 	design     dcache.Design
 	offT, stkT *dram.Tracker
-	// piped is the idle-P gate's verdict when the stepper was built:
-	// whether it gets a producer goroutine.
-	piped bool
 	// left is the record budget (math.MaxUint64 drains the source);
 	// pos the number of records stepped.
 	left, pos uint64
@@ -63,28 +60,28 @@ type stepper struct {
 // newStepper steps up to n records of src (n <= 0 drains it) through
 // design with Access scratch ops, replaying the ops on offT and stkT
 // unless they are nil. Resizing is on only for a Resizable design
-// under an enabled policy. A piped stepper reads src through the feed
-// in *fd, which it allocates on first use; with fd nil, its caller
-// runs it on a producer instead. The caller must close the stepper.
-func newStepper(design dcache.Design, src memtrace.Source, n int, pol ResizePolicy, ops []dcache.Op, offT, stkT *dram.Tracker, fd **feed) stepper {
+// under an enabled policy. It also returns the idle-P gate's verdict:
+// whether the stepper should get a producer goroutine, which its
+// caller gives it with readThrough or by running it on one. The caller
+// must close the stepper.
+func newStepper(design dcache.Design, src memtrace.Source, n int, pol ResizePolicy, ops []dcache.Op, offT, stkT *dram.Tracker) (stepper, bool) {
 	s := stepper{src: src, design: design, offT: offT, stkT: stkT, left: math.MaxUint64, out: dcache.Outcome{Ops: ops}}
 	if n > 0 {
 		s.left = uint64(n)
 	}
-	s.piped = wantFeed(s.left, runningSteppers.Add(1))
-	if s.piped && fd != nil {
-		if *fd == nil {
-			*fd = new(feed)
-		}
-		s.feed = *fd
-		s.feed.start(src, s.left, offT, stkT)
-		s.src = s.feed
-	}
+	piped := wantFeed(s.left, runningSteppers.Add(1))
 	if rz, ok := design.(Resizable); ok && policyPeriod(pol) > 0 {
 		s.pol, s.rz, s.period = pol, rz, uint64(pol.Period())
 		s.part = partitionExtra(design)
 	}
-	return s
+	return s, piped
+}
+
+// readThrough makes s read its source through f, whose producer reads
+// the records ahead of s and replays s's ops on its row trackers.
+func (s *stepper) readThrough(f *feed) {
+	f.start(s.src, s.left, s.offT, s.stkT)
+	s.feed, s.src = f, f
 }
 
 // next steps one record and reports whether it did: false once the

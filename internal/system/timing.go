@@ -269,9 +269,9 @@ type demux struct {
 // queues, on a producer goroutine if the idle-P gate gives the stepper
 // one. The caller must close the demux.
 func newDemux(design dcache.Design, src memtrace.Source, n int, pol ResizePolicy, ops []dcache.Op, cores int, onResize func([]dcache.Op)) *demux {
-	st := newStepper(design, src, n, pol, ops, nil, nil, nil)
+	st, piped := newStepper(design, src, n, pol, ops, nil, nil)
 	d := &demux{st: &st, queues: make([]coreQueue, cores), onResize: onResize}
-	if st.piped {
+	if piped {
 		d.feed = startStepFeed(d.st)
 	}
 	return d
@@ -469,9 +469,11 @@ func warmTiming(design dcache.Design, src memtrace.Source, n int) ([]dcache.Op, 
 	if n <= 0 {
 		return nil, nil
 	}
-	var fd *feed
-	st := newStepper(design, src, n, nil, nil, nil, nil, &fd)
+	st, piped := newStepper(design, src, n, nil, nil, nil, nil)
 	defer st.close()
+	if piped {
+		st.readThrough(new(feed))
+	}
 	for st.next() {
 	}
 	return st.out.Ops, st.err
